@@ -1,7 +1,7 @@
 //! Broker sweep: avoidance-off vs metered vs fast-path throughput, plus
 //! the waiter-wakeup latency distribution of blocked acquires.
 //!
-//! Four drives against one live service:
+//! Four drives against one live runtime, through its in-process client:
 //!
 //! * **probe** — a plain detection session fed random edit/probe
 //!   batches: the pre-broker baseline.
@@ -15,7 +15,7 @@
 //!   resource; the main thread releases it and the histogram records
 //!   release-to-grant latency (the push path through the waiter table).
 //! * **wire_wakeup** — the same release-to-grant measurement through the
-//!   thread-per-core [`CoreRuntime`] wire path: the waiter parks over
+//!   [`CoreRuntime`] wire path: the waiter parks over
 //!   one TCP connection, the releaser releases over another, and the
 //!   grant is *pushed* to the parked connection as a cross-loop message
 //!   (no reply channel, no poll tick).
@@ -26,12 +26,11 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use deltaos_core::{ProcId, ResId};
 use deltaos_service::{
-    AvoidanceMode, Client, CoreConfig, CoreRuntime, Event, Request, Response, Service,
-    ServiceConfig, ServiceError, SessionId, TcpClient,
+    AvoidanceMode, Client, CoreConfig, CoreRuntime, Event, Request, Response, SessionId, TcpClient,
 };
 use deltaos_sim::Histogram;
 use rand::{Rng, SeedableRng, StdRng};
@@ -67,14 +66,53 @@ const SMOKE: Drive = Drive {
     reps: 1,
 };
 
-fn retry<T>(mut f: impl FnMut() -> Result<T, ServiceError>) -> T {
-    loop {
-        match f() {
-            Ok(v) => return v,
-            Err(ServiceError::Busy) => std::thread::yield_now(),
-            Err(e) => panic!("service call failed: {e}"),
-        }
+/// One in-process call; typed failures abort the bench.
+fn call(client: &Client, req: Request) -> Response {
+    match client.call(req) {
+        Response::Error(e) => panic!("service call failed: {e:?}"),
+        resp => resp,
     }
+}
+
+fn open_avoid(client: &Client, dims: u16, mode: AvoidanceMode) -> SessionId {
+    match call(
+        client,
+        Request::OpenAvoid {
+            resources: dims,
+            processes: dims,
+            mode,
+        },
+    ) {
+        Response::Opened(sid) => sid,
+        other => panic!("open answered {other:?}"),
+    }
+}
+
+fn acquire(client: &Client, session: SessionId, p: u16, q: u16, wait: bool) -> Response {
+    call(
+        client,
+        Request::Acquire {
+            session,
+            p: ProcId(p),
+            q: ResId(q),
+            wait,
+        },
+    )
+}
+
+fn release(client: &Client, session: SessionId, p: u16, q: u16) -> Response {
+    call(
+        client,
+        Request::BrokerRelease {
+            session,
+            p: ProcId(p),
+            q: ResId(q),
+        },
+    )
+}
+
+fn close(client: &Client, session: SessionId) {
+    call(client, Request::Close { session });
 }
 
 /// One random session event; ids in-range for `dims`×`dims`.
@@ -89,20 +127,36 @@ fn random_event(rng: &mut StdRng, dims: u16) -> Event {
     }
 }
 
-/// Events/sec of the edit/probe workload on `sid` — identical trace for
-/// the probe baseline and the avoidance-off session (same seed).
-fn edit_probe_run(client: &Client, sid: SessionId, drive: &Drive) -> f64 {
+/// Events/sec of the edit/probe workload on the probe baseline `plain`
+/// and the avoidance-off session `off`: the identical trace (same seed)
+/// on both, batch by batch, alternating which goes first, so drift in
+/// the host (and in where the scheduler places the caller and the loop)
+/// hits both sides equally.
+fn edit_probe_run(client: &Client, plain: SessionId, off: SessionId, drive: &Drive) -> (f64, f64) {
     let mut rng = StdRng::seed_from_u64(0xAB0FF);
     let mut events = 0u64;
-    let t0 = Instant::now();
-    for _ in 0..drive.batches {
+    let mut spent = [Duration::ZERO; 2];
+    for i in 0..drive.batches {
         let batch: Vec<Event> = (0..drive.events_per_batch)
             .map(|_| random_event(&mut rng, drive.dims))
             .collect();
         events += batch.len() as u64;
-        retry(|| client.batch(sid, batch.clone()));
+        let order = if i % 2 == 0 { [0, 1] } else { [1, 0] };
+        for side in order {
+            let session = [plain, off][side];
+            let t0 = Instant::now();
+            call(
+                client,
+                Request::Batch {
+                    session,
+                    events: batch.clone(),
+                },
+            );
+            spent[side] += t0.elapsed();
+        }
     }
-    events as f64 / t0.elapsed().as_secs_f64()
+    let eps = |d: Duration| events as f64 / d.as_secs_f64();
+    (eps(spent[0]), eps(spent[1]))
 }
 
 /// Commands/sec of a random acquire/release trace through a broker
@@ -116,10 +170,10 @@ fn broker_run(client: &Client, sid: SessionId, drive: &Drive) -> f64 {
     for _ in 0..drive.commands {
         if !held.is_empty() && rng.gen_range(0..3u32) == 0 {
             let (pi, qi) = held.swap_remove(rng.gen_range(0..held.len()));
-            retry(|| client.broker_release(sid, ProcId(pi), ResId(qi)));
+            release(client, sid, pi, qi);
         } else {
             let (pi, qi) = (rng.gen_range(0..dims), rng.gen_range(0..dims));
-            let resp = retry(|| client.acquire(sid, ProcId(pi), ResId(qi), false));
+            let resp = acquire(client, sid, pi, qi, false);
             if matches!(resp, Response::Granted { .. }) {
                 held.push((pi, qi));
             }
@@ -132,16 +186,16 @@ fn broker_run(client: &Client, sid: SessionId, drive: &Drive) -> f64 {
 /// `q0` as `p0`, a waiter thread parks `Acquire(p1, q0, wait = true)`,
 /// and each sample times the main thread's release against the waiter's
 /// grant receipt.
-fn wakeup_run(service: &Service, drive: &Drive) -> Histogram {
-    let client = service.client();
-    let sid = retry(|| client.open_avoid(2, 2, AvoidanceMode::FastPath));
-    retry(|| client.acquire(sid, ProcId(0), ResId(0), false));
+fn wakeup_run(runtime: &CoreRuntime, drive: &Drive) -> Histogram {
+    let client = runtime.client();
+    let sid = open_avoid(&client, 2, AvoidanceMode::FastPath);
+    acquire(&client, sid, 0, 0, false);
 
     let barrier = Arc::new(Barrier::new(2));
     let stop = Arc::new(AtomicBool::new(false));
     let (tx, rx) = mpsc::channel::<Instant>();
     let waiter = {
-        let client = service.client();
+        let client = runtime.client();
         let barrier = Arc::clone(&barrier);
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || loop {
@@ -150,11 +204,11 @@ fn wakeup_run(service: &Service, drive: &Drive) -> Histogram {
                 return;
             }
             // Parks until the main thread's release pushes the grant.
-            retry(|| client.acquire(sid, ProcId(1), ResId(0), true));
+            acquire(&client, sid, 1, 0, true);
             tx.send(Instant::now()).unwrap();
             // Hand the resource back; the main thread's own waiting
             // acquire takes it over for the next round.
-            retry(|| client.broker_release(sid, ProcId(1), ResId(0)));
+            release(&client, sid, 1, 0);
         })
     };
 
@@ -164,7 +218,8 @@ fn wakeup_run(service: &Service, drive: &Drive) -> Histogram {
         // The release must arbitrate over a *queued* waiter, not an
         // empty table — wait until the shard reports it.
         loop {
-            let waiting: u64 = retry(|| client.stats())
+            let waiting: u64 = runtime
+                .shard_stats()
                 .iter()
                 .map(|s| s.counter("service.broker_waiters"))
                 .sum();
@@ -174,25 +229,25 @@ fn wakeup_run(service: &Service, drive: &Drive) -> Histogram {
             std::thread::yield_now();
         }
         let t0 = Instant::now();
-        retry(|| client.broker_release(sid, ProcId(0), ResId(0)));
+        release(&client, sid, 0, 0);
         let granted_at = rx.recv().unwrap();
         hist.record(granted_at.duration_since(t0).as_nanos() as u64);
         // Reclaim the resource for the next round (blocks until the
         // waiter thread's hand-back if it has not happened yet).
-        retry(|| client.acquire(sid, ProcId(0), ResId(0), true));
+        acquire(&client, sid, 0, 0, true);
     }
     stop.store(true, Ordering::Release);
     barrier.wait();
     waiter.join().expect("waiter thread panicked");
-    retry(|| client.close(sid));
+    close(&client, sid);
     hist
 }
 
-/// Release-to-grant latency of blocked acquires over the fused
-/// thread-per-core runtime's wire path. Same choreography as
-/// [`wakeup_run`], but waiter and releaser are two TCP connections into
-/// a [`CoreRuntime`], so each grant crosses the runtime as a pushed
-/// message to the parked connection's loop.
+/// Release-to-grant latency of blocked acquires over the runtime's wire
+/// path. Same choreography as [`wakeup_run`], but waiter and releaser
+/// are two TCP connections into a [`CoreRuntime`], so each grant
+/// crosses the runtime as a pushed message to the parked connection's
+/// loop.
 fn wire_wakeup_run(drive: &Drive) -> Histogram {
     let runtime = CoreRuntime::bind(
         "127.0.0.1:0",
@@ -202,7 +257,7 @@ fn wire_wakeup_run(drive: &Drive) -> Histogram {
             ..CoreConfig::default()
         },
     )
-    .expect("bind thread-per-core runtime");
+    .expect("bind runtime");
     let addr = runtime.local_addr();
 
     let mut main = TcpClient::connect(addr).expect("connect releaser");
@@ -335,38 +390,58 @@ fn best_of(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
 }
 
 fn run(drive: &Drive) -> Outcome {
-    let service = Service::start(ServiceConfig::default());
-    let client = service.client();
+    // One loop: every drive below is one client thread making blocking
+    // calls, so a second loop could only add cross-CPU wakeups.
+    let runtime = CoreRuntime::bind(
+        "127.0.0.1:0",
+        CoreConfig {
+            loops: 1,
+            shards: 4,
+            ..CoreConfig::default()
+        },
+    )
+    .expect("bind runtime");
+    let client = runtime.client();
 
     // The off-vs-probe comparison feeds a 5% acceptance gate, so the
     // two must see the same machine: both sessions stay open and the
-    // reps interleave (after one discarded warmup each) so frequency
-    // and cache drift hit both sides equally.
-    let plain = retry(|| client.open(drive.dims, drive.dims));
-    let off = retry(|| client.open_avoid(drive.dims, drive.dims, AvoidanceMode::Off));
-    edit_probe_run(&client, plain, drive);
-    edit_probe_run(&client, off, drive);
+    // reps interleave batch by batch (after one discarded warmup) so
+    // frequency and cache drift hit both sides equally.
+    let plain = match call(
+        &client,
+        Request::Open {
+            resources: drive.dims,
+            processes: drive.dims,
+        },
+    ) {
+        Response::Opened(sid) => sid,
+        other => panic!("open answered {other:?}"),
+    };
+    let off = open_avoid(&client, drive.dims, AvoidanceMode::Off);
+    edit_probe_run(&client, plain, off, drive);
     let mut probe_eps = 0.0f64;
     let mut off_eps = 0.0f64;
     for _ in 0..drive.reps {
-        probe_eps = probe_eps.max(edit_probe_run(&client, plain, drive));
-        off_eps = off_eps.max(edit_probe_run(&client, off, drive));
+        let (probe, avoidance_off) = edit_probe_run(&client, plain, off, drive);
+        probe_eps = probe_eps.max(probe);
+        off_eps = off_eps.max(avoidance_off);
     }
-    retry(|| client.close(plain));
-    retry(|| client.close(off));
+    close(&client, plain);
+    close(&client, off);
 
-    let metered = retry(|| client.open_avoid(drive.dims, drive.dims, AvoidanceMode::Metered));
+    let metered = open_avoid(&client, drive.dims, AvoidanceMode::Metered);
     let metered_cps = best_of(drive.reps, || broker_run(&client, metered, drive));
-    retry(|| client.close(metered));
+    close(&client, metered);
 
-    let fast = retry(|| client.open_avoid(drive.dims, drive.dims, AvoidanceMode::FastPath));
+    let fast = open_avoid(&client, drive.dims, AvoidanceMode::FastPath);
     let fastpath_cps = best_of(drive.reps, || broker_run(&client, fast, drive));
-    retry(|| client.close(fast));
+    close(&client, fast);
 
-    let wakeup = wakeup_run(&service, drive);
+    let wakeup = wakeup_run(&runtime, drive);
     let wire_wakeup = wire_wakeup_run(drive);
 
-    let per_shard = service.shutdown();
+    let per_shard = runtime.shard_stats();
+    runtime.stop();
     let mut grants = 0u64;
     let mut deferrals = 0u64;
     for s in &per_shard {
@@ -406,7 +481,7 @@ fn report(label: &str, o: &Outcome) {
         o.deferrals
     );
     println!(
-        "  wire wakeup (thread-per-core) p50 {} ns p99 {} ns ({} samples)",
+        "  wire wakeup p50 {} ns p99 {} ns ({} samples)",
         o.wire_wakeup.percentile(0.50),
         o.wire_wakeup.percentile(0.99),
         o.wire_wakeup.count()

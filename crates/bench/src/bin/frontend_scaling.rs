@@ -1,42 +1,29 @@
-//! TCP front-end scaling sweep: thread-per-connection vs event loop vs
-//! the thread-per-core fused runtime.
-//!
-//! Drives 256 concurrent connections, each pipelining small batches to
-//! its own session, against the same sharded workload behind (a) the
-//! blocking thread-per-connection [`TcpServer`], (b) the `poll(2)`
-//! event-loop [`EvServer`] in front of worker shards, and (c) the
-//! shared-nothing [`CoreRuntime`] that executes the shards inline on
-//! the loops. With the per-event work deliberately cheap, the drive is
-//! transport-bound — exactly the regime where a stack and a scheduler
-//! entity per connection stop scaling, the fixed loop threads with
-//! coalesced reads/writes pull ahead, and the fused runtime\'s deleted
-//! loop→worker hand-off shows up directly in round-trip latency.
+//! TCP transport sweep of the runtime: 256 concurrent connections, each
+//! pipelining small batches to its own session, against the
+//! [`CoreRuntime`] that executes the shards inline on its pinned loops.
+//! With the per-event work deliberately cheap, the drive is
+//! transport-bound: framing, syscalls, coalesced writes and cross-loop
+//! forwarding dominate.
 //!
 //! Before any number is reported, every connection's full event log is
 //! replayed through a fresh in-process [`Session`] and the wire results
 //! asserted bit-identical — pipelining and out-of-order shard completion
-//! must never reorder or perturb per-session results.
+//! must never reorder or perturb per-session results. The loops must
+//! also block in `poll(2)` throughout (zero busy ticks), and the
+//! pipeline is sized so no request answers `Busy`.
 //!
 //! Emits `BENCH_frontend.json` at the repository root with aggregate
-//! events/sec, round-trip p50/p99 (log-linear histogram) per mode, and
-//! the acceptance checks: event loop ≥2× thread-per-connection, fused
-//! thread-per-core ≥1.5× the event loop with round-RTT p99 strictly
-//! below it. The throughput gates are conditional on the host actually
-//! having ≥4 CPUs; smaller hosts run the same sweep and record
-//! `host_cpus` honestly with the gates marked skipped (replay identity
-//! is always enforced, as is the fused runtime\'s zero-busy-tick
-//! contract).
+//! events/sec and round-trip p50/p99 (log-linear histogram).
 //!
-//! `--smoke` runs a 16-connection miniature of all three modes (debug
-//! builds allowed, no JSON, no perf gates) for CI.
+//! `--smoke` runs a 16-connection miniature (debug builds allowed, no
+//! JSON) for CI.
 
 use std::net::SocketAddr;
 use std::time::Instant;
 
 use deltaos_core::{ProcId, ResId};
 use deltaos_service::{
-    CoreConfig, CoreRuntime, EvConfig, EvServer, Event, EventResult, Request, Response, Service,
-    ServiceConfig, Session, SessionId, TcpClient, TcpServer,
+    CoreConfig, CoreRuntime, Event, EventResult, Request, Response, Session, SessionId, TcpClient,
 };
 use deltaos_sim::Histogram;
 use rand::{Rng, SeedableRng, StdRng};
@@ -76,24 +63,6 @@ const SMOKE: Drive = Drive {
     dims: 8,
     shards: 2,
 };
-
-impl Drive {
-    /// Queue capacity at which shard-level `Busy` is impossible by
-    /// construction: every session on a shard may have its whole
-    /// pipeline outstanding at once.
-    fn queue_cap(&self) -> usize {
-        (self.conns / self.shards) * self.pipeline * 2
-    }
-
-    fn service_config(&self) -> ServiceConfig {
-        ServiceConfig {
-            shards: self.shards,
-            queue_cap: self.queue_cap(),
-            max_sessions_per_shard: self.conns,
-            ..ServiceConfig::default()
-        }
-    }
-}
 
 /// Cheap deterministic edit mix (no probes — the reduction is not what
 /// this bench measures).
@@ -185,6 +154,7 @@ fn drive_thread(addr: SocketAddr, thread_id: usize, drive: &Drive) -> ThreadRepo
 }
 
 struct Outcome {
+    loops: usize,
     events: u64,
     elapsed_secs: f64,
     rtts: Histogram,
@@ -196,73 +166,20 @@ impl Outcome {
     }
 }
 
-enum Mode {
-    ThreadPerConn,
-    EventLoop,
-    ThreadPerCore,
-}
-
-impl Mode {
-    fn label(&self) -> &'static str {
-        match self {
-            Mode::ThreadPerConn => "thread_per_conn",
-            Mode::EventLoop => "event_loop",
-            Mode::ThreadPerCore => "thread_per_core",
-        }
-    }
-}
-
-/// Runs one full drive against a fresh service behind the given
-/// front-end, asserts replay identity for every connection, and returns
-/// the aggregate outcome.
-fn run(mode: &Mode, drive: &Drive) -> Outcome {
+/// Runs one full drive against a fresh runtime, asserts replay identity
+/// for every connection, and returns the aggregate outcome.
+fn run(drive: &Drive) -> Outcome {
     assert_eq!(drive.conns % drive.client_threads, 0);
-
-    enum Server {
-        Tpc(TcpServer, Service),
-        Ev(EvServer, Service),
-        Core(CoreRuntime),
-    }
-    let server = match mode {
-        Mode::ThreadPerConn => {
-            let service = Service::start(drive.service_config());
-            let s = TcpServer::bind("127.0.0.1:0", service.client()).expect("bind thread-per-conn");
-            Server::Tpc(s, service)
-        }
-        Mode::EventLoop => {
-            let service = Service::start(drive.service_config());
-            let s = EvServer::bind(
-                "127.0.0.1:0",
-                service.client(),
-                EvConfig {
-                    max_pipeline: drive.pipeline * 4,
-                    ..EvConfig::default()
-                },
-            )
-            .expect("bind event loop");
-            Server::Ev(s, service)
-        }
-        // The fused runtime *is* the service: the same shard count, no
-        // queue to size (there is no queue).
-        Mode::ThreadPerCore => Server::Core(
-            CoreRuntime::bind(
-                "127.0.0.1:0",
-                CoreConfig {
-                    loops: 0, // auto: one pinned loop per host CPU
-                    shards: drive.shards,
-                    max_sessions_per_shard: drive.conns,
-                    max_pipeline: drive.pipeline * 4,
-                    ..CoreConfig::default()
-                },
-            )
-            .expect("bind thread-per-core"),
-        ),
+    let config = CoreConfig {
+        loops: 0, // auto: one pinned loop per host CPU
+        shards: drive.shards,
+        max_sessions_per_shard: drive.conns,
+        max_pipeline: drive.pipeline * 4,
+        ..CoreConfig::default()
     };
-    let addr = match &server {
-        Server::Tpc(s, _) => s.local_addr(),
-        Server::Ev(s, _) => s.local_addr(),
-        Server::Core(s) => s.local_addr(),
-    };
+    let loops = config.resolved_loops();
+    let server = CoreRuntime::bind("127.0.0.1:0", config).expect("bind runtime");
+    let addr = server.local_addr();
 
     let start = Instant::now();
     let reports: Vec<ThreadReport> = std::thread::scope(|scope| {
@@ -276,41 +193,18 @@ fn run(mode: &Mode, drive: &Drive) -> Outcome {
     });
     let elapsed_secs = start.elapsed().as_secs_f64();
 
-    match &server {
-        Server::Ev(s, _) => {
-            let fs = s.stats();
-            assert_eq!(fs.desynced, 0, "well-formed traffic must never desync");
-            assert_eq!(
-                fs.busy_replies, 0,
-                "pipeline sized under the cap; Busy would skew the comparison"
-            );
-        }
-        Server::Core(s) => {
-            let fs = s.frontend_stats();
-            assert_eq!(fs.desynced, 0, "well-formed traffic must never desync");
-            assert_eq!(
-                fs.busy_replies, 0,
-                "pipeline sized under the cap; Busy would skew the comparison"
-            );
-            let ticks: u64 = s.core_stats().iter().map(|c| c.busy_poll_ticks).sum();
-            assert_eq!(
-                ticks, 0,
-                "fused loops must block in poll(2); a busy tick means a lost wakeup"
-            );
-        }
-        Server::Tpc(..) => {}
-    }
-    match server {
-        Server::Tpc(s, service) => {
-            s.stop();
-            service.shutdown();
-        }
-        Server::Ev(s, service) => {
-            s.stop();
-            service.shutdown();
-        }
-        Server::Core(s) => s.stop(),
-    }
+    let fs = server.frontend_stats();
+    assert_eq!(fs.desynced, 0, "well-formed traffic must never desync");
+    assert_eq!(
+        fs.busy_replies, 0,
+        "pipeline sized under the cap; Busy would skew the measurement"
+    );
+    let ticks: u64 = server.core_stats().iter().map(|c| c.busy_poll_ticks).sum();
+    assert_eq!(
+        ticks, 0,
+        "loops must block in poll(2); a busy tick means a lost wakeup"
+    );
+    server.stop();
 
     // Replay identity: the wire results of every connection must be
     // bit-identical to an in-process single-threaded replay of its log.
@@ -325,29 +219,24 @@ fn run(mode: &Mode, drive: &Drive) -> Outcome {
             let expected: Vec<EventResult> =
                 log.events.iter().map(|&ev| session.apply(ev)).collect();
             assert_eq!(
-                log.results,
-                expected,
-                "{} diverged from in-process replay",
-                mode.label()
+                log.results, expected,
+                "wire results diverged from in-process replay"
             );
         }
     }
 
     Outcome {
+        loops,
         events,
         elapsed_secs,
         rtts,
     }
 }
 
-fn report(mode: &Mode, drive: &Drive, o: &Outcome) {
+fn report(drive: &Drive, o: &Outcome) {
     println!(
-        "{:>15}: {} conns x {} rounds, pipeline {}, {} events/batch",
-        mode.label(),
-        drive.conns,
-        drive.rounds,
-        drive.pipeline,
-        drive.events_per_batch
+        "{} conns x {} rounds, pipeline {}, {} events/batch, {} shards on {} loops",
+        drive.conns, drive.rounds, drive.pipeline, drive.events_per_batch, drive.shards, o.loops
     );
     println!(
         "  {} events in {:.3}s -> {:.0} events/sec; round RTT p50 {} ns p99 {} ns ({} samples)",
@@ -360,56 +249,20 @@ fn report(mode: &Mode, drive: &Drive, o: &Outcome) {
     );
 }
 
-fn mode_json(mode: &Mode, o: &Outcome) -> String {
-    format!(
-        concat!(
-            "    {{\"mode\": \"{}\", \"events\": {}, \"elapsed_secs\": {:.3}, ",
-            "\"events_per_sec\": {:.0}, ",
-            "\"round_rtt_ns\": {{\"p50\": {}, \"p99\": {}, \"samples\": {}}}}}"
-        ),
-        mode.label(),
-        o.events,
-        o.elapsed_secs,
-        o.events_per_sec(),
-        o.rtts.percentile(0.50),
-        o.rtts.percentile(0.99),
-        o.rtts.count()
-    )
-}
-
-fn to_json(
-    drive: &Drive,
-    tpc: &Outcome,
-    ev: &Outcome,
-    fused: &Outcome,
-    host_cpus: usize,
-) -> String {
-    let speedup = ev.events_per_sec() / tpc.events_per_sec();
-    let fused_speedup = fused.events_per_sec() / ev.events_per_sec();
-    let p99_below = fused.rtts.percentile(0.99) < ev.rtts.percentile(0.99);
-    let gated = host_cpus >= 4;
-    let pass = |ok: bool| {
-        if gated {
-            format!("{ok}")
-        } else {
-            "null".to_string()
-        }
-    };
+fn to_json(drive: &Drive, o: &Outcome, host_cpus: usize) -> String {
     format!(
         concat!(
             "{{\n",
             "  \"bench\": \"frontend_scaling\",\n",
             "  \"host_cpus\": {},\n",
             "  \"config\": {{\"conns\": {}, \"client_threads\": {}, \"pipeline\": {}, ",
-            "\"rounds\": {}, \"events_per_batch\": {}, \"dims\": {}, \"shards\": {}}},\n",
+            "\"rounds\": {}, \"events_per_batch\": {}, \"dims\": {}, \"shards\": {}, ",
+            "\"loops\": {}}},\n",
             "  \"replay_identity\": {{\"wire_vs_in_process_bit_identical\": true}},\n",
-            "  \"modes\": [\n{},\n{},\n{}\n  ],\n",
-            "  \"acceptance\": {{\"speedup_event_loop_vs_thread_per_conn\": {:.3}, ",
-            "\"required\": 2.0, \"gate_requires_cpus\": 4, ",
-            "\"gate_skipped_insufficient_cpus\": {}, \"pass\": {}, ",
-            "\"speedup_thread_per_core_vs_event_loop\": {:.3}, ",
-            "\"fused_required\": 1.5, \"fused_pass\": {}, ",
-            "\"fused_p99_below_event_loop\": {}, \"fused_p99_pass\": {}}}\n",
+            "  \"events\": {},\n",
+            "  \"elapsed_secs\": {:.3},\n",
+            "  \"events_per_sec\": {:.0},\n",
+            "  \"round_rtt_ns\": {{\"p50\": {}, \"p99\": {}, \"samples\": {}}}\n",
             "}}\n"
         ),
         host_cpus,
@@ -420,85 +273,38 @@ fn to_json(
         drive.events_per_batch,
         drive.dims,
         drive.shards,
-        mode_json(&Mode::ThreadPerConn, tpc),
-        mode_json(&Mode::EventLoop, ev),
-        mode_json(&Mode::ThreadPerCore, fused),
-        speedup,
-        !gated,
-        pass(speedup >= 2.0),
-        fused_speedup,
-        pass(fused_speedup >= 1.5),
-        p99_below,
-        pass(p99_below),
+        o.loops,
+        o.events,
+        o.elapsed_secs,
+        o.events_per_sec(),
+        o.rtts.percentile(0.50),
+        o.rtts.percentile(0.99),
+        o.rtts.count()
     )
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     if smoke {
-        let tpc = run(&Mode::ThreadPerConn, &SMOKE);
-        report(&Mode::ThreadPerConn, &SMOKE, &tpc);
-        let ev = run(&Mode::EventLoop, &SMOKE);
-        report(&Mode::EventLoop, &SMOKE, &ev);
-        let fused = run(&Mode::ThreadPerCore, &SMOKE);
-        report(&Mode::ThreadPerCore, &SMOKE, &fused);
-        assert!(tpc.events > 0 && ev.events > 0 && fused.events > 0);
-        assert_eq!(tpc.events, ev.events, "all modes drive the same load");
-        assert_eq!(tpc.events, fused.events, "all modes drive the same load");
+        let o = run(&SMOKE);
+        report(&SMOKE, &o);
+        assert!(o.events > 0);
         println!("smoke ok");
         return;
     }
 
     if cfg!(debug_assertions) {
-        // Debug throughput is meaningless against the 2x gate and would
-        // corrupt the tracked BENCH_frontend.json.
+        // Debug throughput would corrupt the tracked BENCH_frontend.json.
         eprintln!("frontend_scaling: debug build — rerun with --release (or use --smoke)");
         std::process::exit(2);
     }
 
     let host_cpus = deltaos_core::par::host_cpus();
-    println!("=== frontend_scaling: 256-connection pipelined front-end sweep ({host_cpus} host CPUs) ===");
-    let tpc = run(&Mode::ThreadPerConn, &FULL);
-    report(&Mode::ThreadPerConn, &FULL, &tpc);
-    let ev = run(&Mode::EventLoop, &FULL);
-    report(&Mode::EventLoop, &FULL, &ev);
-    let fused = run(&Mode::ThreadPerCore, &FULL);
-    report(&Mode::ThreadPerCore, &FULL, &fused);
-    let speedup = ev.events_per_sec() / tpc.events_per_sec();
-    let fused_speedup = fused.events_per_sec() / ev.events_per_sec();
-    println!("  event loop vs thread-per-conn: {speedup:.2}x");
-    println!("  thread-per-core vs event loop: {fused_speedup:.2}x");
-
-    let json = to_json(&FULL, &tpc, &ev, &fused, host_cpus);
+    println!("=== frontend_scaling: 256-connection pipelined sweep ({host_cpus} host CPUs) ===");
+    let o = run(&FULL);
+    report(&FULL, &o);
+    let json = to_json(&FULL, &o, host_cpus);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_frontend.json");
     std::fs::write(path, &json).expect("write BENCH_frontend.json");
     println!("wrote {path}");
-
-    if host_cpus >= 4 {
-        println!("acceptance: event-loop speedup {speedup:.2}x (required >= 2x)");
-        assert!(
-            speedup >= 2.0,
-            "event-loop front-end must be >= 2x thread-per-connection at {} pipelined \
-             connections (got {speedup:.2}x on a {host_cpus}-CPU host)",
-            FULL.conns
-        );
-        println!("acceptance: thread-per-core speedup {fused_speedup:.2}x (required >= 1.5x)");
-        assert!(
-            fused_speedup >= 1.5,
-            "fused thread-per-core runtime must be >= 1.5x the event loop + worker \
-             shards (got {fused_speedup:.2}x on a {host_cpus}-CPU host)"
-        );
-        let (fp99, ep99) = (fused.rtts.percentile(0.99), ev.rtts.percentile(0.99));
-        println!("acceptance: round RTT p99 fused {fp99} ns vs event loop {ep99} ns");
-        assert!(
-            fp99 < ep99,
-            "deleting the loop-to-worker hand-off must show up in tail latency: \
-             fused p99 {fp99} ns >= event loop p99 {ep99} ns"
-        );
-    } else {
-        println!(
-            "acceptance: gates skipped — host has {host_cpus} CPU(s) < 4; measured \
-             speedups {speedup:.2}x / {fused_speedup:.2}x recorded ungated"
-        );
-    }
 }

@@ -1,20 +1,21 @@
 //! Durability cost and recovery speed of the `deltaos-store` subsystem.
 //!
-//! Three questions, answered against the same multi-client drive the
-//! service stress bench uses:
+//! Three questions, answered against a multi-client drive like the
+//! service stress bench's, every row over the wire (one connection per
+//! client):
 //!
 //! 1. **What does the WAL cost?** Aggregate throughput with durability
 //!    off versus on under each [`FsyncPolicy`] (`Os`, group-commit
 //!    `EveryN(32)`, `Always`). The acceptance gate requires group commit
 //!    to keep ≥ 50% of the WAL-off throughput — armed only on hosts
 //!    with ≥ 4 CPUs (below that the ratio is recorded but not enforced,
-//!    since client threads and shard workers fight for cores).
+//!    since client threads and runtime loops fight for cores).
 //! 2. **How fast is recovery?** Cold-start time and replayed-record
 //!    counts for the same workload at different checkpoint intervals —
 //!    from "pure WAL replay" down to tight compaction.
 //! 3. **Is recovery exact?** Every restart is checked bit-identical:
 //!    the recovered service's deterministic counters must equal the
-//!    final counters the live run reported at shutdown.
+//!    final counters the live run reported at the end of its drive.
 //!
 //! Full mode writes `BENCH_persist.json` at the repository root;
 //! `--smoke` runs a miniature (debug builds allowed, no JSON, no gate).
@@ -23,7 +24,10 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use deltaos_core::{ProcId, ResId};
-use deltaos_service::{DurabilityConfig, Event, FsyncPolicy, Service, ServiceConfig, ServiceError};
+use deltaos_service::{
+    CoreConfig, CoreRuntime, DurabilityConfig, Event, FsyncPolicy, Request, Response, SessionId,
+    TcpClient,
+};
 use deltaos_sim::Stats;
 use rand::{Rng, SeedableRng, StdRng};
 
@@ -55,7 +59,7 @@ const SMOKE: Drive = Drive {
 };
 
 /// The counters a deterministic replay must reproduce exactly
-/// (timing-dependent ones — queue depth, store I/O tallies — excluded).
+/// (timing-dependent ones — the store I/O tallies — excluded).
 const DETERMINISTIC_KEYS: &[&str] = &[
     "service.events",
     "service.batches",
@@ -87,91 +91,65 @@ fn random_event(rng: &mut StdRng, dims: u16) -> Event {
     }
 }
 
-/// Drives the workload through `clients` threads with **async
-/// pipelining**: each round fans a batch out to every session before
-/// collecting any reply, so the shard queues hold concurrent durable
-/// work — the group-commit scheduler needs in-flight depth to batch
-/// fsyncs (a strictly blocking client would degenerate to one flush per
-/// op). Returns wall seconds.
-fn drive_clients_pipelined(service: &Service, drive: &Drive) -> f64 {
-    assert_eq!(drive.sessions % drive.clients, 0);
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for t in 0..drive.clients {
-            let client = service.client();
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(0x9E85 ^ t as u64);
-                let per_thread = drive.sessions / drive.clients;
-                let sids: Vec<_> = (0..per_thread)
-                    .map(|_| client.open(drive.dims, drive.dims).expect("open session"))
-                    .collect();
-                // Sliding window several rounds deep: the shard queues
-                // must stay non-empty for the scheduler to see batchable
-                // depth instead of idle-flushing after every record.
-                let window = 4 * sids.len();
-                let mut pending = std::collections::VecDeque::with_capacity(window);
-                for _ in 0..drive.rounds {
-                    for &sid in &sids {
-                        let batch: Vec<Event> = (0..drive.edits_per_round)
-                            .map(|_| random_event(&mut rng, drive.dims))
-                            .collect();
-                        loop {
-                            match client.batch_async(sid, batch.clone()) {
-                                Ok(rx) => {
-                                    pending.push_back(rx);
-                                    break;
-                                }
-                                Err(ServiceError::Busy) => std::thread::yield_now(),
-                                Err(e) => panic!("batch submit failed: {e}"),
-                            }
-                        }
-                        while pending.len() >= window {
-                            let rx = pending.pop_front().expect("non-empty window");
-                            match rx.recv().expect("shard alive") {
-                                Ok(_) => {}
-                                Err(e) => panic!("batch failed: {e}"),
-                            }
-                        }
-                    }
-                }
-                for rx in pending {
-                    match rx.recv().expect("shard alive") {
-                        Ok(_) => {}
-                        Err(e) => panic!("batch failed: {e}"),
-                    }
-                }
-            });
-        }
-    });
-    start.elapsed().as_secs_f64()
+fn open_request(drive: &Drive) -> Request {
+    Request::Open {
+        resources: drive.dims,
+        processes: drive.dims,
+    }
 }
 
-/// Drives the workload through `clients` threads; returns wall seconds.
-fn drive_clients(service: &Service, drive: &Drive) -> f64 {
+fn opened(resp: Response) -> SessionId {
+    match resp {
+        Response::Opened(sid) => sid,
+        other => panic!("open failed: {other:?}"),
+    }
+}
+
+/// Drives the workload through `clients` threads, one wire connection
+/// each, keeping up to a window of batches in flight per connection.
+/// Blocking rows use a window of one. The pipelined policy gets a window
+/// several rounds deep (under the runtime's per-connection pipeline
+/// cap): its group-commit scheduler needs in-flight depth to batch
+/// fsyncs — a strictly blocking client would degenerate to one flush per
+/// op. Returns wall seconds.
+fn drive_clients(runtime: &CoreRuntime, drive: &Drive, pipelined: bool) -> f64 {
     assert_eq!(drive.sessions % drive.clients, 0);
+    let addr = runtime.local_addr();
     let start = Instant::now();
     std::thread::scope(|scope| {
         for t in 0..drive.clients {
-            let client = service.client();
             scope.spawn(move || {
+                let mut conn = TcpClient::connect(addr).expect("connect");
                 let mut rng = StdRng::seed_from_u64(0x9E85 ^ t as u64);
                 let per_thread = drive.sessions / drive.clients;
                 let sids: Vec<_> = (0..per_thread)
-                    .map(|_| client.open(drive.dims, drive.dims).expect("open session"))
+                    .map(|_| opened(conn.call(&open_request(drive)).expect("open call")))
                     .collect();
+                let window = if pipelined { 4 * sids.len() } else { 1 };
+                let mut in_flight = 0usize;
+                let recv = |conn: &mut TcpClient| match conn.recv().expect("reply") {
+                    Response::Batch(_) => {}
+                    other => panic!("batch failed: {other:?}"),
+                };
                 for _ in 0..drive.rounds {
                     for &sid in &sids {
-                        let batch: Vec<Event> = (0..drive.edits_per_round)
+                        let events: Vec<Event> = (0..drive.edits_per_round)
                             .map(|_| random_event(&mut rng, drive.dims))
                             .collect();
-                        loop {
-                            match client.batch(sid, batch.clone()) {
-                                Ok(_) => break,
-                                Err(ServiceError::Busy) => std::thread::yield_now(),
-                                Err(e) => panic!("batch failed: {e}"),
-                            }
+                        conn.send(&Request::Batch {
+                            session: sid,
+                            events,
+                        })
+                        .expect("send batch");
+                        in_flight += 1;
+                        while in_flight >= window {
+                            recv(&mut conn);
+                            in_flight -= 1;
                         }
                     }
+                }
+                for _ in 0..in_flight {
+                    recv(&mut conn);
                 }
             });
         }
@@ -203,14 +181,16 @@ impl RunOut {
     }
 }
 
-fn run(config: ServiceConfig, drive: &Drive, pipelined: bool) -> RunOut {
-    let service = Service::start(config);
-    let elapsed_secs = if pipelined {
-        drive_clients_pipelined(&service, drive)
-    } else {
-        drive_clients(&service, drive)
-    };
-    let per_shard = service.shutdown();
+fn start(config: CoreConfig) -> CoreRuntime {
+    CoreRuntime::bind("127.0.0.1:0", config).expect("bind runtime")
+}
+
+fn run(config: CoreConfig, drive: &Drive, pipelined: bool) -> RunOut {
+    let runtime = start(config);
+    let elapsed_secs = drive_clients(&runtime, drive, pipelined);
+    // Every reply is in, so the rows cover the whole drive.
+    let per_shard = runtime.shard_stats();
+    runtime.stop();
     let mut events = 0;
     let mut wal_records = 0;
     let mut commits = 0;
@@ -258,9 +238,17 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn durable_config(drive: &Drive, dir: &Path, fsync: FsyncPolicy, ckpt_every: u64) -> ServiceConfig {
-    ServiceConfig {
+/// The drive's shard count on one loop per host CPU.
+fn base_config(drive: &Drive) -> CoreConfig {
+    CoreConfig {
+        loops: 0,
         shards: drive.shards,
+        ..CoreConfig::default()
+    }
+}
+
+fn durable_config(drive: &Drive, dir: &Path, fsync: FsyncPolicy, ckpt_every: u64) -> CoreConfig {
+    CoreConfig {
         durability: Some(DurabilityConfig {
             dir: dir.to_path_buf(),
             fsync,
@@ -270,11 +258,11 @@ fn durable_config(drive: &Drive, dir: &Path, fsync: FsyncPolicy, ckpt_every: u64
             checkpoint_on_shutdown: false,
             repl_ack: false,
         }),
-        ..ServiceConfig::default()
+        ..base_config(drive)
     }
 }
 
-/// Restarts a service over `dir`, times the cold start, and asserts the
+/// Restarts a runtime over `dir`, times the cold start, and asserts the
 /// recovered counters are bit-identical to the live run's final ones.
 struct Recovered {
     recovery_secs: f64,
@@ -282,13 +270,13 @@ struct Recovered {
     recovered_sessions: u64,
 }
 
-fn restart_and_verify(config: ServiceConfig, live: &RunOut) -> Recovered {
+fn restart_and_verify(config: CoreConfig, live: &RunOut) -> Recovered {
     let t0 = Instant::now();
-    let service = Service::start(config);
+    let runtime = start(config);
     let recovery_secs = t0.elapsed().as_secs_f64();
-    let replayed_records = service.recovery().iter().map(|r| r.replayed_records).sum();
-    let recovered_sessions = service.recovery().iter().map(|r| r.live_sessions).sum();
-    let per_shard = service.client().stats().expect("stats after recovery");
+    let replayed_records = runtime.recovery().iter().map(|r| r.replayed_records).sum();
+    let recovered_sessions = runtime.recovery().iter().map(|r| r.live_sessions).sum();
+    let per_shard = runtime.shard_stats();
     for (shard, stats) in per_shard.iter().enumerate() {
         assert_eq!(
             deterministic(stats),
@@ -296,7 +284,7 @@ fn restart_and_verify(config: ServiceConfig, live: &RunOut) -> Recovered {
             "shard {shard}: recovery is not bit-identical to the live run"
         );
     }
-    service.shutdown();
+    runtime.stop();
     Recovered {
         recovery_secs,
         replayed_records,
@@ -337,14 +325,7 @@ fn main() {
     println!("=== persist_bench: WAL cost + snapshot/restore recovery ===");
 
     // --- 1. Throughput: WAL off, then each fsync policy. -------------
-    let baseline = run(
-        ServiceConfig {
-            shards: drive.shards,
-            ..ServiceConfig::default()
-        },
-        drive,
-        false,
-    );
+    let baseline = run(base_config(drive), drive, false);
     println!(
         "wal_off: {} events in {:.3}s -> {:.0} events/sec",
         baseline.events,

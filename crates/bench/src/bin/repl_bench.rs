@@ -30,8 +30,8 @@ use std::time::{Duration, Instant};
 use deltaos_cluster::{ClusterClient, ClusterConfig};
 use deltaos_core::{ProcId, ResId};
 use deltaos_service::{
-    DurabilityConfig, Event, FsyncPolicy, ReplicaTailer, Response, Service, ServiceConfig,
-    ServiceError, SessionId, TailerConfig, TcpServer,
+    Client, CoreConfig, CoreRuntime, DurabilityConfig, Event, FsyncPolicy, ReplStatus,
+    ReplicaTailer, Request, Response, SessionId, TailerConfig,
 };
 use rand::{Rng, SeedableRng, StdRng};
 
@@ -114,11 +114,39 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
     sorted[idx]
 }
 
-fn shard_status(c: &deltaos_service::Client, shard: u16) -> deltaos_service::ReplStatus {
-    match c.replica_status(shard).expect("replica status") {
+fn shard_status(c: &Client, shard: u16) -> ReplStatus {
+    match c.call(Request::ReplicaStatus { shard }) {
         Response::ReplicaStatus(st) => st,
         other => panic!("status answered {other:?}"),
     }
+}
+
+fn start(config: CoreConfig) -> CoreRuntime {
+    CoreRuntime::bind("127.0.0.1:0", config).expect("bind runtime")
+}
+
+/// A durable primary (or replica) node over `dir`.
+fn durable_node(dir: &Path, replica: bool) -> CoreRuntime {
+    start(CoreConfig {
+        shards: SHARDS,
+        replica,
+        durability: Some(durable(dir)),
+        ..CoreConfig::default()
+    })
+}
+
+fn open(c: &Client) -> SessionId {
+    match c.call(Request::Open {
+        resources: DIMS,
+        processes: DIMS,
+    }) {
+        Response::Opened(sid) => sid,
+        other => panic!("open answered {other:?}"),
+    }
+}
+
+fn batch(c: &Client, session: SessionId, events: Vec<Event>) -> Response {
+    c.call(Request::Batch { session, events })
 }
 
 struct LagResult {
@@ -133,21 +161,11 @@ struct LagResult {
 fn run_lag(drive: &Drive) -> LagResult {
     let pdir = tmp("lag-primary");
     let fdir = tmp("lag-follower");
-    let primary = Service::start(ServiceConfig {
-        shards: SHARDS,
-        durability: Some(durable(&pdir)),
-        ..ServiceConfig::default()
-    });
-    let psrv = TcpServer::bind("127.0.0.1:0", primary.client()).expect("bind primary");
-    let follower = Service::start(ServiceConfig {
-        shards: SHARDS,
-        replica: true,
-        durability: Some(durable(&fdir)),
-        ..ServiceConfig::default()
-    });
+    let primary = durable_node(&pdir, false);
+    let follower = durable_node(&fdir, true);
     let tailer = ReplicaTailer::start(
         follower.client(),
-        TailerConfig::new(psrv.local_addr(), SHARDS as u16),
+        TailerConfig::new(primary.local_addr(), SHARDS as u16),
     );
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -158,15 +176,14 @@ fn run_lag(drive: &Drive) -> LagResult {
             let (sessions, edits) = (drive.sessions, drive.edits);
             std::thread::spawn(move || {
                 let mut rng = StdRng::seed_from_u64(0x1A6 ^ w as u64);
-                let sids: Vec<_> = (0..sessions)
-                    .map(|_| client.open(DIMS, DIMS).expect("open"))
-                    .collect();
+                let sids: Vec<_> = (0..sessions).map(|_| open(&client)).collect();
                 while !stop.load(Ordering::Acquire) {
                     for &sid in &sids {
-                        let batch: Vec<Event> = (0..edits).map(|_| random_edit(&mut rng)).collect();
-                        match client.batch(sid, batch) {
-                            Ok(_) | Err(ServiceError::Busy) => {}
-                            Err(e) => panic!("lag writer batch failed: {e}"),
+                        let events: Vec<Event> =
+                            (0..edits).map(|_| random_edit(&mut rng)).collect();
+                        match batch(&client, sid, events) {
+                            Response::Batch(_) => {}
+                            other => panic!("lag writer batch failed: {other:?}"),
                         }
                     }
                 }
@@ -193,9 +210,8 @@ fn run_lag(drive: &Drive) -> LagResult {
         w.join().expect("writer");
     }
     let report = tailer.stop();
-    psrv.stop();
-    primary.shutdown();
-    follower.shutdown();
+    primary.stop();
+    follower.stop();
     let _ = std::fs::remove_dir_all(&pdir);
     let _ = std::fs::remove_dir_all(&fdir);
 
@@ -214,34 +230,27 @@ fn run_lag(drive: &Drive) -> LagResult {
 fn run_failover_trial(trial: usize) -> f64 {
     let pdir = tmp(&format!("fo-primary-{trial}"));
     let fdir = tmp(&format!("fo-follower-{trial}"));
-    let primary = Service::start(ServiceConfig {
-        shards: SHARDS,
-        durability: Some(durable(&pdir)),
-        ..ServiceConfig::default()
-    });
-    let psrv = TcpServer::bind("127.0.0.1:0", primary.client()).expect("bind primary");
-    let follower = Service::start(ServiceConfig {
-        shards: SHARDS,
-        replica: true,
-        durability: Some(durable(&fdir)),
-        ..ServiceConfig::default()
-    });
+    let primary = durable_node(&pdir, false);
+    let follower = durable_node(&fdir, true);
     let tailer = ReplicaTailer::start(
         follower.client(),
         TailerConfig {
             heartbeat_timeout: Duration::from_millis(HEARTBEAT_MS),
             auto_promote: true,
-            ..TailerConfig::new(psrv.local_addr(), SHARDS as u16)
+            ..TailerConfig::new(primary.local_addr(), SHARDS as u16)
         },
     );
 
     // Seed state and wait until the follower has acknowledged all of it.
     let pc = primary.client();
     let mut rng = StdRng::seed_from_u64(0xF0 ^ trial as u64);
-    let sids: Vec<_> = (0..4).map(|_| pc.open(DIMS, DIMS).expect("open")).collect();
+    let sids: Vec<_> = (0..4).map(|_| open(&pc)).collect();
     for &sid in &sids {
-        let batch: Vec<Event> = (0..32).map(|_| random_edit(&mut rng)).collect();
-        pc.batch(sid, batch).expect("seed batch");
+        let events: Vec<Event> = (0..32).map(|_| random_edit(&mut rng)).collect();
+        match batch(&pc, sid, events) {
+            Response::Batch(_) => {}
+            other => panic!("seed batch answered {other:?}"),
+        }
     }
     let catchup = Instant::now() + Duration::from_secs(10);
     for s in 0..SHARDS as u16 {
@@ -255,30 +264,29 @@ fn run_failover_trial(trial: usize) -> f64 {
         }
     }
 
-    // Kill. Shutdown drains in the background so the clock measures the
+    // Kill. The stop runs in the background so the clock measures the
     // survivor, not the corpse.
     let t0 = Instant::now();
-    psrv.stop();
-    let reaper = std::thread::spawn(move || primary.shutdown());
+    let reaper = std::thread::spawn(move || primary.stop());
     let fc = follower.client();
     let grant = vec![Event::Grant {
         q: ResId(DIMS - 1),
         p: ProcId(DIMS - 1),
     }];
     let elapsed_ms = loop {
-        match fc.batch(SessionId(0), grant.clone()) {
-            Ok(_) => break t0.elapsed().as_secs_f64() * 1e3,
-            Err(_) => std::thread::sleep(Duration::from_micros(200)),
+        match batch(&fc, SessionId(0), grant.clone()) {
+            Response::Batch(_) => break t0.elapsed().as_secs_f64() * 1e3,
+            _ => std::thread::sleep(Duration::from_micros(200)),
         }
         assert!(
             t0.elapsed() < Duration::from_secs(10),
             "promotion never fired within 10s"
         );
     };
-    reaper.join().expect("primary shutdown");
+    reaper.join().expect("primary stop");
     let report = tailer.stop();
     assert!(report.promoted, "tailer did not auto-promote");
-    follower.shutdown();
+    follower.stop();
     let _ = std::fs::remove_dir_all(&pdir);
     let _ = std::fs::remove_dir_all(&fdir);
     elapsed_ms
@@ -287,17 +295,15 @@ fn run_failover_trial(trial: usize) -> f64 {
 /// Phase 3: aggregate accepted-event throughput through cluster
 /// front-ends over `nodes` single-shard wire nodes.
 fn run_cluster(nodes: usize, drive: &Drive) -> (u64, f64) {
-    let running: Vec<(Service, TcpServer)> = (0..nodes)
+    let running: Vec<CoreRuntime> = (0..nodes)
         .map(|_| {
-            let service = Service::start(ServiceConfig {
+            start(CoreConfig {
                 shards: 1,
-                ..ServiceConfig::default()
-            });
-            let server = TcpServer::bind("127.0.0.1:0", service.client()).expect("bind node");
-            (service, server)
+                ..CoreConfig::default()
+            })
         })
         .collect();
-    let addrs: Vec<_> = running.iter().map(|n| n.1.local_addr()).collect();
+    let addrs: Vec<_> = running.iter().map(CoreRuntime::local_addr).collect();
 
     let start = Instant::now();
     let deadline = start + drive.cluster_window;
@@ -336,9 +342,8 @@ fn run_cluster(nodes: usize, drive: &Drive) -> (u64, f64) {
     });
     let elapsed = start.elapsed().as_secs_f64();
 
-    for (service, server) in running {
-        server.stop();
-        service.shutdown();
+    for node in running {
+        node.stop();
     }
     (events, events as f64 / elapsed)
 }

@@ -1,7 +1,7 @@
 //! Multi-client stress drive of the sharded deadlock service.
 //!
 //! N client threads hammer M sessions (64×64 RAGs) through the
-//! in-process [`Client`], mixing edits, detection probes and avoidance
+//! runtime's in-process [`Client`], mixing edits, detection probes and avoidance
 //! queries — the fleet-scale version of the paper's shared DDU/DAU
 //! serving many PEs. Reports aggregate throughput (events/sec across all
 //! shards) and probe round-trip latency (p50/p99 plus the raw bucket
@@ -15,7 +15,7 @@
 use std::time::Instant;
 
 use deltaos_core::{ProcId, ResId};
-use deltaos_service::{Event, Service, ServiceConfig, ServiceError};
+use deltaos_service::{Client, CoreConfig, CoreRuntime, Event, Request, Response};
 use deltaos_sim::Histogram;
 use rand::{Rng, SeedableRng, StdRng};
 
@@ -58,60 +58,50 @@ fn random_event(rng: &mut StdRng, dims: u16) -> Event {
     }
 }
 
-struct ClientReport {
-    busy_retries: u64,
-    latencies: Histogram,
+fn batch(client: &Client, session: deltaos_service::SessionId, events: Vec<Event>) {
+    match client.call(Request::Batch { session, events }) {
+        Response::Batch(_) => {}
+        other => panic!("batch failed: {other:?}"),
+    }
 }
 
-fn drive_client(client: &deltaos_service::Client, thread_id: usize, drive: &Drive) -> ClientReport {
+/// Probe round-trip latencies of one client thread.
+fn drive_client(client: &Client, thread_id: usize, drive: &Drive) -> Histogram {
     let mut rng = StdRng::seed_from_u64(0x5EB5 ^ thread_id as u64);
     let per_thread = drive.sessions / drive.clients;
     let sids: Vec<_> = (0..per_thread)
-        .map(|_| client.open(drive.dims, drive.dims).expect("open session"))
+        .map(|_| {
+            match client.call(Request::Open {
+                resources: drive.dims,
+                processes: drive.dims,
+            }) {
+                Response::Opened(sid) => sid,
+                other => panic!("open failed: {other:?}"),
+            }
+        })
         .collect();
-    let mut report = ClientReport {
-        busy_retries: 0,
-        latencies: Histogram::new(),
-    };
+    let mut latencies = Histogram::new();
     for _ in 0..drive.rounds {
         for &sid in &sids {
-            let batch: Vec<Event> = (0..drive.edits_per_round)
+            let events: Vec<Event> = (0..drive.edits_per_round)
                 .map(|_| random_event(&mut rng, drive.dims))
                 .collect();
-            loop {
-                match client.batch(sid, batch.clone()) {
-                    Ok(_) => break,
-                    Err(ServiceError::Busy) => {
-                        report.busy_retries += 1;
-                        std::thread::yield_now();
-                    }
-                    Err(e) => panic!("batch failed: {e}"),
-                }
-            }
-            // Timed single-probe round trip: enqueue → shard → reply.
+            batch(client, sid, events);
+            // Timed single-probe round trip: forward → owning loop →
+            // reply.
             let t0 = Instant::now();
-            loop {
-                match client.batch(sid, vec![Event::Probe]) {
-                    Ok(_) => break,
-                    Err(ServiceError::Busy) => {
-                        report.busy_retries += 1;
-                        std::thread::yield_now();
-                    }
-                    Err(e) => panic!("probe failed: {e}"),
-                }
-            }
-            report.latencies.record(t0.elapsed().as_nanos() as u64);
+            batch(client, sid, vec![Event::Probe]);
+            latencies.record(t0.elapsed().as_nanos() as u64);
         }
     }
-    report
+    latencies
 }
 
 struct Outcome {
+    loops: usize,
     events: u64,
     probes: u64,
     cache_hits: u64,
-    busy_retries: u64,
-    max_queue_depth: u64,
     elapsed_secs: f64,
     latencies: Histogram,
 }
@@ -136,17 +126,20 @@ impl Outcome {
 
 fn run(drive: &Drive) -> Outcome {
     assert_eq!(drive.sessions % drive.clients, 0);
-    let service = Service::start(ServiceConfig {
+    // One loop per host CPU (auto-sized), the drive's shard count.
+    let config = CoreConfig {
+        loops: 0,
         shards: drive.shards,
-        queue_cap: 64,
-        ..ServiceConfig::default()
-    });
+        ..CoreConfig::default()
+    };
+    let loops = config.resolved_loops();
+    let runtime = CoreRuntime::bind("127.0.0.1:0", config).expect("bind runtime");
 
     let start = Instant::now();
-    let reports: Vec<ClientReport> = std::thread::scope(|scope| {
+    let reports: Vec<Histogram> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..drive.clients)
             .map(|t| {
-                let client = service.client();
+                let client = runtime.client();
                 scope.spawn(move || drive_client(&client, t, drive))
             })
             .collect();
@@ -158,30 +151,26 @@ fn run(drive: &Drive) -> Outcome {
     let elapsed_secs = start.elapsed().as_secs_f64();
 
     let mut latencies = Histogram::new();
-    let mut busy_retries = 0u64;
     for r in &reports {
-        latencies.merge(&r.latencies);
-        busy_retries += r.busy_retries;
+        latencies.merge(r);
     }
 
-    let per_shard = service.shutdown();
+    let per_shard = runtime.shard_stats();
+    runtime.stop();
     let mut events = 0u64;
     let mut probes = 0u64;
     let mut cache_hits = 0u64;
-    let mut max_queue_depth = 0u64;
     for s in &per_shard {
         events += s.counter("service.events");
         probes += s.counter("service.probes");
         cache_hits += s.counter("service.cache_hits");
-        max_queue_depth = max_queue_depth.max(s.counter("service.queue_depth_max"));
     }
 
     Outcome {
+        loops,
         events,
         probes,
         cache_hits,
-        busy_retries,
-        max_queue_depth,
         elapsed_secs,
         latencies,
     }
@@ -189,8 +178,8 @@ fn run(drive: &Drive) -> Outcome {
 
 fn report(label: &str, drive: &Drive, o: &Outcome) {
     println!(
-        "{label}: {} shards, {} sessions ({}x{}), {} clients",
-        drive.shards, drive.sessions, drive.dims, drive.dims, drive.clients
+        "{label}: {} shards on {} loops, {} sessions ({}x{}), {} clients",
+        drive.shards, o.loops, drive.sessions, drive.dims, drive.dims, drive.clients
     );
     println!(
         "  {} events in {:.3}s -> {:.0} events/sec aggregate",
@@ -205,10 +194,6 @@ fn report(label: &str, drive: &Drive, o: &Outcome) {
         o.p50_ns(),
         o.p99_ns(),
         o.samples()
-    );
-    println!(
-        "  busy retries {}, max queue depth {} (cap 64 + 1)",
-        o.busy_retries, o.max_queue_depth
     );
 }
 
@@ -227,21 +212,20 @@ fn to_json(drive: &Drive, o: &Outcome, pass: bool) -> String {
         concat!(
             "{{\n",
             "  \"bench\": \"service_stress\",\n",
-            "  \"config\": {{\"shards\": {}, \"sessions\": {}, \"clients\": {}, ",
+            "  \"config\": {{\"shards\": {}, \"loops\": {}, \"sessions\": {}, \"clients\": {}, ",
             "\"dims\": {}, \"rounds\": {}, \"edits_per_round\": {}}},\n",
             "  \"events\": {},\n",
             "  \"elapsed_secs\": {:.3},\n",
             "  \"events_per_sec\": {:.0},\n",
             "  \"probes\": {},\n",
             "  \"cache_hits\": {},\n",
-            "  \"busy_retries\": {},\n",
-            "  \"max_queue_depth\": {},\n",
             "  \"probe_latency_ns\": {{\"p50\": {}, \"p99\": {}, \"samples\": {},\n",
             "    \"buckets\": {}}},\n",
             "  \"acceptance\": {{\"required_events_per_sec\": 100000, \"pass\": {}}}\n",
             "}}\n"
         ),
         drive.shards,
+        o.loops,
         drive.sessions,
         drive.clients,
         drive.dims,
@@ -252,8 +236,6 @@ fn to_json(drive: &Drive, o: &Outcome, pass: bool) -> String {
         o.events_per_sec(),
         o.probes,
         o.cache_hits,
-        o.busy_retries,
-        o.max_queue_depth,
         o.p50_ns(),
         o.p99_ns(),
         o.samples(),

@@ -121,6 +121,18 @@ impl EngineProbe {
         self.engine.probe(rag)
     }
 
+    /// Brings the engine's mirror up to date with `rag` without probing
+    /// (counted like the sync a probe would do).
+    pub fn sync(&mut self, rag: &Rag) {
+        if rag.resources() == 0 || rag.processes() == 0 {
+            return;
+        }
+        if rag.resources() > self.engine.resources() || rag.processes() > self.engine.processes() {
+            self.engine.ensure_dims(rag.resources(), rag.processes());
+        }
+        self.engine.sync_rag(rag);
+    }
+
     /// The owned engine's operation counters (probes, cache hits, delta
     /// syncs, rebuilds).
     pub fn stats(&self) -> EngineStats {

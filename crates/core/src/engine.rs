@@ -884,15 +884,22 @@ impl DetectEngine {
     ///
     /// The rebuild performed here is *not* counted in the restored
     /// stats: counters land exactly on the snapshot's values, because
-    /// the uninterrupted run never paid for a restore.
+    /// the uninterrupted run never paid for a restore. Counters continue
+    /// exactly only when the snapshot was taken with the mirror in step
+    /// with the graph (no deltas pending), or before the engine ever
+    /// synced — every engine's first sync is a full rebuild, so stats
+    /// with `full_rebuilds == 0` restore unsynced and the next probe
+    /// pays and counts that first rebuild, as the original would.
     ///
     /// # Panics
     ///
     /// Panics if the RAG does not fit the engine's dimensions.
     pub fn restore(&mut self, rag: &Rag, stats: EngineStats, cached: Option<DetectOutcome>) {
-        self.sync_rag(rag);
+        if stats.full_rebuilds > 0 {
+            self.sync_rag(rag);
+            self.cache = cached.map(|outcome| (self.version, outcome));
+        }
         self.stats = stats;
-        self.cache = cached.map(|outcome| (self.version, outcome));
     }
 }
 

@@ -7,7 +7,7 @@
 //! reported cycles). Every brokered command returns both the wire
 //! [`Response`] for the caller *and* the list of `(process, resource)`
 //! grants the command fixed as a side effect, drained from the avoider's
-//! grant log. The shard worker uses that list to wake blocked `Acquire`
+//! grant log. The owning shard uses that list to wake blocked `Acquire`
 //! reply slots — the broker itself stays connection-agnostic and fully
 //! deterministic, which is what makes WAL replay reconstruct it
 //! bit-identically.
@@ -62,7 +62,7 @@ pub struct Broker {
 impl Broker {
     /// Creates a broker for a `resources` × `processes` session.
     /// `metered` picks the software-DAA engine; otherwise the fast path
-    /// shares the shard worker's reduction pool like any detect engine.
+    /// shares the owning loop's reduction pool like any detect engine.
     pub fn new(
         resources: u16,
         processes: u16,
@@ -86,6 +86,16 @@ impl Broker {
         Broker {
             engine,
             counters: BrokerCounters::default(),
+        }
+    }
+
+    /// Brings the fast-path probe's mirror up to date with the avoider's
+    /// graph. Every command ends here, so a snapshot taken between
+    /// commands never holds deltas a live broker would count at its next
+    /// probe and a restored one would absorb uncounted.
+    fn settle(&mut self) {
+        if let Engine::Fast { avoider, probe } = &mut self.engine {
+            probe.sync(avoider.rag());
         }
     }
 
@@ -283,8 +293,10 @@ impl Broker {
         }
     }
 
-    /// Drains the avoider's grant log, counting every fixed grant.
+    /// Ends a command: drains the avoider's grant log, counting every
+    /// fixed grant, and settles the probe mirror.
     fn drain_grants(&mut self) -> Vec<(ProcId, ResId)> {
+        self.settle();
         let grants = match &mut self.engine {
             Engine::Fast { avoider, .. } => avoider.take_grants(),
             Engine::Metered(daa) => daa.take_grants(),
@@ -564,13 +576,10 @@ mod tests {
             let snap = b.snapshot(9);
             let mut restored = Broker::restore_from(&snap, None, ParConfig::default()).unwrap();
             let mut replayed = Broker::restore_from(&snap, None, ParConfig::default()).unwrap();
-            // A live snapshot can catch the probe's delta mirror
-            // mid-stride (last synced during a probe whose request edge
-            // was then parked out of the RAG), and restore re-syncs the
-            // mirror — so the re-encoded snapshot matches on everything
-            // the broker owns, and is a true fixed point from the
-            // second generation on.
+            // Every command settles the probe mirror, so the restored
+            // copy re-encodes to exactly the live snapshot.
             let resnap = restored.snapshot(9);
+            assert_eq!(resnap, snap);
             assert_eq!(resnap.broker, snap.broker);
             assert_eq!(resnap.grants, snap.grants);
             assert_eq!(resnap.requests, snap.requests);
@@ -586,9 +595,6 @@ mod tests {
             // and on both restored copies, and the two restored copies
             // stay bit-identical — the same relation recovery depends
             // on between the live restart and the reference replay.
-            // (Raw engine-sync counters may lag on the live broker: a
-            // snapshot can catch its delta mirror mid-stride, while
-            // restore always rebuilds in sync.)
             let (ra, ga) = b.give_up_ack(p(1));
             let (rb, gb) = restored.give_up_ack(p(1));
             let (rc, gc) = replayed.give_up_ack(p(1));
@@ -597,6 +603,9 @@ mod tests {
             assert_eq!(&rb, &rc);
             assert_eq!(&gb, &gc);
             assert_eq!(restored.snapshot(9), replayed.snapshot(9));
+            // Engine counters included: the live broker and its restored
+            // copy stay byte-identical past the restore point.
+            assert_eq!(b.snapshot(9), restored.snapshot(9));
         }
     }
 

@@ -1,18 +1,15 @@
-//! Shared-nothing thread-per-core runtime: the event-loop front-end and
-//! the shard workers fused into N pinned per-core loops.
+//! The service runtime: N pinned per-core loops, each owning a set of
+//! shards and running them inline, behind one TCP acceptor and an
+//! in-process [`Client`].
 //!
-//! The PR-4 front-end still pays a partitioning tax: every request
-//! crosses threads twice (loop thread → shard worker over a
-//! `sync_channel`, reply back through `try_recv` polling), and whenever
-//! replies are outstanding the loop degrades to a 1 ms poll tick. The
-//! paper's argument — move the deadlock unit next to the execution
-//! resource and the crossing overhead disappears — applies in software
-//! too: here each loop *owns* a set of shards ([`ShardCore`]s) and runs
-//! their `DetectEngine`s, broker waiter tables and durability logging
-//! **inline** on the loop thread. A request whose session lives on the
-//! serving loop is decoded, executed and answered without any
-//! cross-thread hand-off; there is no request queue, no reply channel,
-//! and no poll tick of any kind.
+//! The paper moves the deadlock unit next to the processors it serves,
+//! so no request crosses between components to reach it. The runtime
+//! does the same in software: each loop *owns* a set of shards
+//! (`ShardCore`s) and runs their `DetectEngine`s, broker waiter tables
+//! and durability logging **inline** on the loop thread. A request whose
+//! session lives on the serving loop is decoded, executed and answered
+//! without any cross-thread hand-off; there is no request queue and no
+//! poll tick of any kind.
 //!
 //! Routing follows shard ownership (`session_id % shards`, shard `s`
 //! owned by loop `s % loops`):
@@ -26,19 +23,22 @@
 //!   in-flight completion can target the old loop.
 //! * **Cross-core forwarding** — the minority of requests whose session
 //!   lives elsewhere (multi-session connections, traffic racing ahead
-//!   of migration) is forwarded over a per-core inbox; the owning loop
-//!   executes inline and sends the reply back the same way. Every
-//!   enqueue writes one byte to the receiving loop's self-pipe, so
-//!   loops block in `poll(2)` with **no timeout** and are woken
-//!   exactly when work arrives — the 1 ms degraded tick is gone even
-//!   on forwarded paths ([`CoreStats::busy_poll_ticks`] asserts it).
+//!   of migration, every in-process [`Client`] call) is forwarded over
+//!   a per-core inbox; the owning loop executes inline and sends the
+//!   reply back the same way. Every enqueue writes one byte to the
+//!   receiving loop's self-pipe, so loops block in `poll(2)` with **no
+//!   timeout** and are woken exactly when work arrives
+//!   ([`CoreStats::busy_poll_ticks`] asserts it).
 //!
-//! Observable semantics are identical to `EvServer` + worker shards:
-//! pipelined submission-order replies per connection, in-band
-//! [`Response::Busy`] past the pipeline cap, idle/slow-loris reaping,
-//! broker blocked-grant push (grants cross loops as messages instead of
-//! channel sends), and WAL/checkpoint durability with bit-identical
-//! recovery.
+//! Per connection the loop does incremental zero-copy framing, request
+//! pipelining with submission-order replies, in-band [`Response::Busy`]
+//! past [`CoreConfig::max_pipeline`], coalesced writes, and idle /
+//! slow-loris reaping. Broker grants for blocked acquires are pushed to
+//! whichever connection or client parked them; with durability every
+//! mutation is written ahead, replies wait out the group commit under
+//! [`deltaos_store::FsyncPolicy::Pipelined`], and the WAL is compacted
+//! into a checkpoint every
+//! [`DurabilityConfig::checkpoint_every_records`] records.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -55,19 +55,212 @@ use deltaos_core::par::{self, ParConfig, WorkerPool};
 use deltaos_sim::Stats;
 
 use crate::durable::{DurabilityConfig, RecoveryInfo};
-use crate::evloop::{error_response, sys, Counters, FrameBuf, ReadOutcome};
 use crate::proto::{
     decode_request, encode_response_into, AvoidanceMode, CoreStats, ErrorCode, Event,
-    FrontendStats, Request, Response, SessionId, MAX_FRAME,
+    FrontendStats, Request, Response, SessionId, WireError, MAX_FRAME,
 };
 use crate::shard::{BrokerCmd, ServiceError, ShardCore};
 use crate::tcp::stats_rows;
 
-/// Thread-per-core runtime construction parameters. The front-end knobs
-/// (`max_pipeline`, `max_write_buf`, timeouts) mean exactly what they
-/// mean on [`crate::evloop::EvConfig`]; the shard knobs mean what they
-/// mean on [`crate::ServiceConfig`] — minus `queue_cap`, because the
-/// fused runtime has no request queue to bound.
+/// Raw `poll(2)` binding — the only non-std surface this crate touches,
+/// and still libc-free: std already links the platform C library, so a
+/// direct `extern "C"` declaration suffices.
+mod sys {
+    use std::io;
+    use std::os::raw::{c_int, c_short};
+
+    #[cfg(target_os = "macos")]
+    type Nfds = u32;
+    #[cfg(not(target_os = "macos"))]
+    type Nfds = std::os::raw::c_ulong;
+
+    pub const POLLIN: c_short = 0x001;
+    pub const POLLOUT: c_short = 0x004;
+    pub const POLLERR: c_short = 0x008;
+    pub const POLLHUP: c_short = 0x010;
+    pub const POLLNVAL: c_short = 0x020;
+
+    /// `struct pollfd` — identical layout on every supported unix.
+    #[repr(C)]
+    #[derive(Clone, Copy)]
+    pub struct PollFd {
+        pub fd: c_int,
+        pub events: c_short,
+        pub revents: c_short,
+    }
+
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+    }
+
+    /// Blocks until an fd is ready or `timeout_ms` elapses (`-1` waits
+    /// forever), retrying on `EINTR`.
+    pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
+        loop {
+            let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, timeout_ms) };
+            if rc >= 0 {
+                return Ok(rc as usize);
+            }
+            let err = io::Error::last_os_error();
+            if err.kind() != io::ErrorKind::Interrupted {
+                return Err(err);
+            }
+        }
+    }
+}
+
+/// Bytes asked of the socket per `read(2)` when filling a frame buffer.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// Monotonic transport counters, shared by the acceptor and every loop.
+#[derive(Default)]
+struct Counters {
+    accepted: AtomicU64,
+    closed: AtomicU64,
+    reaped_idle: AtomicU64,
+    reaped_partial: AtomicU64,
+    desynced: AtomicU64,
+    frames_in: AtomicU64,
+    replies_out: AtomicU64,
+    busy_replies: AtomicU64,
+    bytes_in: AtomicU64,
+    bytes_out: AtomicU64,
+}
+
+impl Counters {
+    /// Snapshot as the wire-visible [`FrontendStats`] (also served
+    /// in-band through the `Stats` response).
+    fn snapshot(&self) -> FrontendStats {
+        let accepted = self.accepted.load(Ordering::Relaxed);
+        let closed = self.closed.load(Ordering::Relaxed);
+        FrontendStats {
+            accepted,
+            active: accepted.saturating_sub(closed),
+            closed,
+            reaped_idle: self.reaped_idle.load(Ordering::Relaxed),
+            reaped_partial: self.reaped_partial.load(Ordering::Relaxed),
+            desynced: self.desynced.load(Ordering::Relaxed),
+            frames_in: self.frames_in.load(Ordering::Relaxed),
+            replies_out: self.replies_out.load(Ordering::Relaxed),
+            busy_replies: self.busy_replies.load(Ordering::Relaxed),
+            bytes_in: self.bytes_in.load(Ordering::Relaxed),
+            bytes_out: self.bytes_out.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// Incremental reassembly over a growable buffer: bytes land at the
+/// tail, complete frames are consumed from `pos`, and [`compact`]
+/// reclaims the consumed prefix between poll iterations. The buffer
+/// owns the bytes; frame payloads are borrowed slices of it — no
+/// per-frame allocation or copy.
+///
+/// [`compact`]: FrameBuf::compact
+#[derive(Debug, Default)]
+struct FrameBuf {
+    buf: Vec<u8>,
+    pos: usize,
+}
+
+/// What one readable event yielded.
+enum ReadOutcome {
+    /// Bytes appended (possibly 0 if the socket was already drained);
+    /// `true` when the peer also half-closed.
+    Progress(usize, bool),
+    /// Transport error; the connection is unusable.
+    Broken,
+}
+
+impl FrameBuf {
+    /// Appends raw bytes (test seam; the live path reads straight from
+    /// the socket via [`FrameBuf::fill_from`]).
+    #[cfg(test)]
+    fn extend(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Reads from `stream` until it would block (or EOF/error),
+    /// appending to the tail.
+    fn fill_from(&mut self, stream: &mut TcpStream) -> ReadOutcome {
+        let mut total = 0usize;
+        loop {
+            let old = self.buf.len();
+            self.buf.resize(old + READ_CHUNK, 0);
+            match stream.read(&mut self.buf[old..]) {
+                Ok(0) => {
+                    self.buf.truncate(old);
+                    return ReadOutcome::Progress(total, true);
+                }
+                Ok(n) => {
+                    self.buf.truncate(old + n);
+                    total += n;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    self.buf.truncate(old);
+                    return ReadOutcome::Progress(total, false);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {
+                    self.buf.truncate(old);
+                }
+                Err(_) => {
+                    self.buf.truncate(old);
+                    return ReadOutcome::Broken;
+                }
+            }
+        }
+    }
+
+    /// Pops the next complete frame as a payload range into the buffer,
+    /// `Ok(None)` while the head frame is still partial.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Oversized`] when the length prefix exceeds
+    /// [`MAX_FRAME`] — framing is lost and the stream must be dropped.
+    fn next_frame(&mut self) -> Result<Option<(usize, usize)>, WireError> {
+        let avail = self.buf.len() - self.pos;
+        if avail < 4 {
+            return Ok(None);
+        }
+        let prefix: [u8; 4] = self.buf[self.pos..self.pos + 4].try_into().unwrap();
+        let len = u32::from_le_bytes(prefix) as usize;
+        if len > MAX_FRAME {
+            return Err(WireError::Oversized { len: len as u64 });
+        }
+        if avail - 4 < len {
+            return Ok(None);
+        }
+        let start = self.pos + 4;
+        self.pos = start + len;
+        Ok(Some((start, start + len)))
+    }
+
+    /// The payload bytes of a range returned by [`FrameBuf::next_frame`].
+    fn slice(&self, (a, b): (usize, usize)) -> &[u8] {
+        &self.buf[a..b]
+    }
+
+    /// Drops the consumed prefix so the buffer only holds the (at most
+    /// one) partial frame at its head.
+    fn compact(&mut self) {
+        if self.pos > 0 {
+            self.buf.copy_within(self.pos.., 0);
+            let keep = self.buf.len() - self.pos;
+            self.buf.truncate(keep);
+            self.pos = 0;
+        }
+    }
+
+    /// `true` while an incomplete frame (or stray bytes) sits in the
+    /// buffer — the state the slow-loris deadline polices.
+    fn has_partial(&self) -> bool {
+        self.pos < self.buf.len()
+    }
+}
+
+/// Runtime construction parameters: loop and shard topology, per-shard
+/// admission control, durability, and the per-connection transport
+/// limits.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoreConfig {
     /// Pinned loop threads; `0` auto-sizes to the host CPUs (1..=8).
@@ -91,9 +284,10 @@ pub struct CoreConfig {
     /// Durability: per-shard WAL + checkpoints, recovered before the
     /// acceptor starts.
     pub durability: Option<DurabilityConfig>,
-    /// Start every shard as a read-only replica (see
-    /// [`crate::ServiceConfig::replica`]): mutations answer
-    /// `ReadOnlyReplica` until a `Promote` lands.
+    /// Start every shard as a read-only replica: mutations answer
+    /// `ReadOnlyReplica` and state advances only through
+    /// [`Client::repl_apply`] feeding it a primary's WAL records, until
+    /// a `Promote` under a strictly larger epoch lands.
     pub replica: bool,
     /// Maximum in-flight requests per connection; overflow answers
     /// [`Response::Busy`] in-band.
@@ -191,16 +385,24 @@ fn core_stats_snapshot(per_loop: &[LoopCounters]) -> Vec<CoreStats> {
         .collect()
 }
 
-/// Addresses one submitted request: the loop housing the connection,
-/// the connection, and the request's per-connection sequence number.
-/// This is the fused runtime's reply-slot type — where the worker pool
-/// parks an `mpsc::Sender`, [`ShardCore`] here parks a ticket, and
-/// delivery routes the response back by loop + connection + seq.
+/// Addresses one request read from a connection: the loop housing the
+/// connection, the connection, and the request's per-connection
+/// sequence number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Ticket {
+pub(crate) struct Ticket {
     home: usize,
     conn: u64,
     seq: u64,
+}
+
+/// Where a request's reply goes. [`ShardCore`] parks these for blocked
+/// acquires and the group commit withholds them; delivery routes by
+/// variant.
+pub(crate) enum ReplySlot {
+    /// A connection's request: routed back by loop + connection + seq.
+    Conn(Ticket),
+    /// An in-process [`Client`] call, answered over its own channel.
+    Local(Sender<Response>),
 }
 
 /// A session operation, executable on whichever loop owns the shard.
@@ -257,6 +459,12 @@ enum ExecJob {
         session: SessionId,
         epoch: u64,
     },
+    /// Follower ingest of a primary's WAL records; `session = shard`,
+    /// as above. In-process only ([`Client::repl_apply`]).
+    ReplApply {
+        session: SessionId,
+        records: Vec<(u64, u64, Vec<u8>)>,
+    },
 }
 
 impl ExecJob {
@@ -272,8 +480,18 @@ impl ExecJob {
             | ExecJob::Sync { session }
             | ExecJob::Subscribe { session, .. }
             | ExecJob::ReplicaStatus { session }
-            | ExecJob::Promote { session, .. } => *session,
+            | ExecJob::Promote { session, .. }
+            | ExecJob::ReplApply { session, .. } => *session,
         }
+    }
+
+    /// `true` for the ops that allocate a session id: the connection's
+    /// affinity follows the new session.
+    fn opens(&self) -> bool {
+        matches!(
+            self,
+            ExecJob::Open { .. } | ExecJob::OpenAvoid { .. } | ExecJob::Restore { .. }
+        )
     }
 }
 
@@ -286,8 +504,8 @@ enum CoreMsg {
     /// A quiescent connection handed over to its affine loop.
     Migrate(Box<CConn>),
     /// Run a session operation on the shard this loop owns and deliver
-    /// the reply to `ticket`.
-    Exec { ticket: Ticket, job: ExecJob },
+    /// the reply to `slot`.
+    Exec { slot: ReplySlot, job: ExecJob },
     /// A completed reply for a request this loop houses.
     Done { conn: u64, seq: u64, resp: Response },
     /// Collect this loop's shard rows for a `Stats` request.
@@ -299,6 +517,8 @@ enum CoreMsg {
         from: usize,
         rows: Vec<Stats>,
     },
+    /// Send this loop's shard rows to an in-process caller.
+    Rows(Sender<Vec<Stats>>),
 }
 
 /// One submitted-but-unanswered request, in submission order.
@@ -311,10 +531,9 @@ enum Slot {
     Stats(Vec<Option<Vec<Stats>>>),
 }
 
-/// Per-connection state: identical transport machinery to the evloop
-/// front-end (same framing, write coalescing, reap bookkeeping), but
-/// the pending FIFO holds [`Slot`]s keyed by sequence number instead of
-/// reply channels — completions are messages, not `try_recv` polls.
+/// Per-connection state: framing, write coalescing, reap bookkeeping,
+/// and the pending FIFO of [`Slot`]s keyed by sequence number —
+/// completions arrive as messages, never by polling.
 struct CConn {
     id: u64,
     stream: TcpStream,
@@ -403,7 +622,7 @@ impl CConn {
         if self.wpos == self.wbuf.len() {
             self.wbuf.clear();
             self.wpos = 0;
-        } else if self.wpos >= crate::evloop::READ_CHUNK {
+        } else if self.wpos >= READ_CHUNK {
             self.wbuf.copy_within(self.wpos.., 0);
             let keep = self.wbuf.len() - self.wpos;
             self.wbuf.truncate(keep);
@@ -415,67 +634,222 @@ impl CConn {
     }
 }
 
+/// What every loop, the acceptor and every in-process [`Client`] share:
+/// the per-loop inboxes and their self-pipe wakes, the session-id
+/// allocator, the transport counters and the routing constants.
+#[derive(Clone)]
+struct Mesh {
+    inboxes: Vec<Sender<CoreMsg>>,
+    wakes: Arc<Vec<UnixStream>>,
+    next_session: Arc<AtomicU64>,
+    counters: Arc<Counters>,
+    loop_counters: Arc<Vec<LoopCounters>>,
+    loops: usize,
+    shards_total: usize,
+    max_dim: u16,
+    max_batch: usize,
+}
+
+impl Mesh {
+    /// The loop owning `session`'s shard.
+    fn owner(&self, session: SessionId) -> usize {
+        (session.0 % self.shards_total as u64) as usize % self.loops
+    }
+
+    /// Sends `msg` to loop `target` and wakes it. Fails only after stop,
+    /// when the receiving loop has already exited.
+    fn send_to(&self, target: usize, msg: CoreMsg) -> bool {
+        if self.inboxes[target].send(msg).is_err() {
+            return false;
+        }
+        let _ = (&self.wakes[target]).write(&[1]);
+        true
+    }
+
+    /// Every shard's counter rows, shard order, gathered from every
+    /// loop. `None` once the runtime stopped. Blocks: never call it from
+    /// a loop thread.
+    fn shard_rows(&self) -> Option<Vec<Stats>> {
+        let (tx, rx) = mpsc::channel();
+        for target in 0..self.loops {
+            if !self.send_to(target, CoreMsg::Rows(tx.clone())) {
+                return None;
+            }
+        }
+        drop(tx);
+        let mut rows = Vec::new();
+        for _ in 0..self.loops {
+            rows.extend(rx.recv().ok()?);
+        }
+        rows.sort_by_key(|s| s.counter("service.shard_id"));
+        Some(rows)
+    }
+
+    /// The wire `Stats` response over `rows` (already in shard order).
+    fn stats_response(&self, rows: &[Stats]) -> Response {
+        Response::Stats {
+            shards: stats_rows(rows),
+            frontend: Some(self.counters.snapshot()),
+            cores: core_stats_snapshot(&self.loop_counters),
+        }
+    }
+
+    /// Validates a session request and binds it to an [`ExecJob`];
+    /// admission failures come back as in-band error responses. Opens
+    /// allocate the session id here, on the submitting side.
+    fn to_job(&self, req: Request) -> Result<ExecJob, Box<Response>> {
+        let dims_ok = |r: u16, p: u16| r != 0 && p != 0 && r <= self.max_dim && p <= self.max_dim;
+        let alloc = || SessionId(self.next_session.fetch_add(1, Ordering::Relaxed));
+        let shard = |shard: u16| {
+            if (shard as usize) < self.shards_total {
+                Ok(SessionId(shard as u64))
+            } else {
+                Err(Box::new(error_response(ServiceError::UnknownSession)))
+            }
+        };
+        Ok(match req {
+            Request::Open {
+                resources,
+                processes,
+            } => {
+                if !dims_ok(resources, processes) {
+                    return Err(Box::new(error_response(ServiceError::BadDimensions)));
+                }
+                ExecJob::Open {
+                    session: alloc(),
+                    resources,
+                    processes,
+                }
+            }
+            Request::OpenAvoid {
+                resources,
+                processes,
+                mode,
+            } => {
+                if !dims_ok(resources, processes) {
+                    return Err(Box::new(error_response(ServiceError::BadDimensions)));
+                }
+                ExecJob::OpenAvoid {
+                    session: alloc(),
+                    resources,
+                    processes,
+                    mode,
+                }
+            }
+            Request::Batch { session, events } => {
+                if events.len() > self.max_batch {
+                    return Err(Box::new(error_response(ServiceError::BatchTooLarge)));
+                }
+                ExecJob::Batch { session, events }
+            }
+            Request::Close { session } => ExecJob::Close { session },
+            Request::Snapshot { session } => ExecJob::Snapshot { session },
+            Request::Restore { snapshot } => ExecJob::Restore {
+                session: alloc(),
+                snapshot,
+            },
+            Request::SetPriority {
+                session,
+                p,
+                priority,
+            } => ExecJob::Broker {
+                session,
+                cmd: BrokerCmd::SetPriority { p, priority },
+            },
+            Request::Acquire {
+                session,
+                p,
+                q,
+                wait,
+            } => ExecJob::Broker {
+                session,
+                cmd: BrokerCmd::Acquire { p, q, wait },
+            },
+            Request::BrokerRelease { session, p, q } => ExecJob::Broker {
+                session,
+                cmd: BrokerCmd::Release { p, q },
+            },
+            Request::GiveUpAck { session, p } => ExecJob::Broker {
+                session,
+                cmd: BrokerCmd::GiveUpAck { p },
+            },
+            Request::Sync { session } => ExecJob::Sync { session },
+            // Shard-addressed replication ops ride session routing with
+            // `session = shard`: `shard % shards_total == shard`, so the
+            // job lands on exactly the named shard's owning loop.
+            Request::Subscribe {
+                shard: s,
+                from_seq,
+                acked_seq,
+            } => ExecJob::Subscribe {
+                session: shard(s)?,
+                from_seq,
+                acked_seq,
+            },
+            Request::ReplicaStatus { shard: s } => ExecJob::ReplicaStatus { session: shard(s)? },
+            Request::Promote { shard: s, epoch } => ExecJob::Promote {
+                session: shard(s)?,
+                epoch,
+            },
+            // Handled by the callers before `to_job` (it fans out, it
+            // does not execute on a single shard).
+            Request::Stats => unreachable!("Stats is routed before to_job"),
+        })
+    }
+}
+
 /// Everything a loop owns besides its connections — split so borrow
 /// scopes stay honest while one connection is being served.
 struct LoopEnv {
     me: usize,
-    loops: usize,
-    shards_total: usize,
     cfg: CoreConfig,
+    mesh: Mesh,
     /// The shards this loop owns (`shard % loops == me`), run inline.
-    shards: HashMap<usize, ShardCore<Ticket>>,
+    shards: HashMap<usize, ShardCore>,
     /// Completed replies for locally housed requests, applied between
     /// borrow scopes (an inline broker command can complete requests of
     /// *other* connections on this same loop).
     deliveries: Vec<(u64, u64, Response)>,
-    inboxes: Vec<Sender<CoreMsg>>,
-    wake_txs: Vec<UnixStream>,
-    counters: Arc<Counters>,
-    loop_counters: Arc<Vec<LoopCounters>>,
-    next_session: Arc<AtomicU64>,
     /// Cross-core requests this loop has sent and not yet seen answered
     /// — the "work in flight" half of the busy-tick assertion.
     cross_outstanding: usize,
-    /// Under `FsyncPolicy::Pipelined`: per owned shard, replies whose
-    /// LSN is appended but not yet durable, in submission order as
-    /// `(lsn, appended-at, ticket, response)`. Released by
-    /// [`LoopEnv::flush_shard`] when one fsync covers them.
-    withheld: HashMap<usize, VecDeque<(u64, Instant, Ticket, Response)>>,
+    /// Under `FsyncPolicy::Pipelined` (or follower-ack gating): per owned
+    /// shard, replies whose LSN is appended but not yet releasable, in
+    /// submission order as `(lsn, appended-at, slot, response)`.
+    /// Released by [`LoopEnv::release_shard`] once the release floor
+    /// covers them.
+    withheld: HashMap<usize, VecDeque<(u64, Instant, ReplySlot, Response)>>,
 }
 
 impl LoopEnv {
     fn lc(&self) -> &LoopCounters {
-        &self.loop_counters[self.me]
+        &self.mesh.loop_counters[self.me]
     }
 
-    /// Sends `msg` to loop `target` and wakes it. Sends can only fail
-    /// after stop, when the receiving loop has already exited.
-    fn send_to(&mut self, target: usize, msg: CoreMsg) {
-        if self.inboxes[target].send(msg).is_ok() {
-            let _ = self.wake_txs[target].write(&[1]);
-        }
+    fn shard_of(&self, session: SessionId) -> usize {
+        (session.0 % self.mesh.shards_total as u64) as usize
     }
 
-    /// Parks a reply until `lsn` is durable on `shard`, or delivers it
+    /// Parks a reply until `lsn` is releasable on `shard`, or delivers it
     /// right away when the op carried no withhold LSN (non-pipelined
     /// policy, read-only op, broker re-attach).
     fn deliver_or_withhold(
         &mut self,
         shard: usize,
         lsn: Option<u64>,
-        ticket: Ticket,
+        slot: ReplySlot,
         resp: Response,
     ) {
         match lsn {
             Some(lsn) => {
                 let q = self.withheld.entry(shard).or_default();
-                q.push_back((lsn, Instant::now(), ticket, resp));
+                q.push_back((lsn, Instant::now(), slot, resp));
                 let depth = q.len() as u64;
                 if let Some(core) = self.shards.get_mut(&shard) {
                     core.pipeline.on_withheld(depth);
                 }
             }
-            None => self.deliver(ticket, resp),
+            None => self.deliver(slot, resp),
         }
     }
 
@@ -503,8 +877,8 @@ impl LoopEnv {
                 core.pipeline.on_release(now.duration_since(*since));
             }
         }
-        for (_, _, ticket, resp) in released {
-            self.deliver(ticket, resp);
+        for (_, _, slot, resp) in released {
+            self.deliver(slot, resp);
         }
     }
 
@@ -517,20 +891,6 @@ impl LoopEnv {
             core.pipeline.on_flush(durable.saturating_sub(before));
         }
         self.release_shard(shard);
-    }
-
-    /// Trigger (a): flush as soon as the unsynced batch reaches the
-    /// policy's `max_records`. Called after every executed job.
-    fn maybe_flush(&mut self, shard: usize) {
-        let Some(core) = self.shards.get(&shard) else {
-            return;
-        };
-        let Some((max_records, _)) = core.pipeline_params() else {
-            return;
-        };
-        if core.unsynced_records() >= max_records.max(1) as u64 {
-            self.flush_shard(shard);
-        }
     }
 
     /// Trigger (b): the poll-timeout arm of the commit deadline — the
@@ -587,29 +947,36 @@ impl LoopEnv {
         }
     }
 
-    /// Routes one completed reply to the loop housing `ticket`.
-    fn deliver(&mut self, ticket: Ticket, resp: Response) {
-        if ticket.home == self.me {
-            self.deliveries.push((ticket.conn, ticket.seq, resp));
-        } else {
-            self.send_to(
-                ticket.home,
-                CoreMsg::Done {
-                    conn: ticket.conn,
-                    seq: ticket.seq,
-                    resp,
-                },
-            );
+    /// Routes one completed reply to its requester: the loop housing the
+    /// connection, or the in-process caller's channel.
+    fn deliver(&mut self, slot: ReplySlot, resp: Response) {
+        match slot {
+            ReplySlot::Conn(t) if t.home == self.me => self.deliveries.push((t.conn, t.seq, resp)),
+            ReplySlot::Conn(t) => {
+                self.mesh.send_to(
+                    t.home,
+                    CoreMsg::Done {
+                        conn: t.conn,
+                        seq: t.seq,
+                        resp,
+                    },
+                );
+            }
+            // A caller that gave up dropped its receiver; nothing to do.
+            ReplySlot::Local(tx) => {
+                let _ = tx.send(resp);
+            }
         }
     }
 
     /// Executes a session operation on the owned shard, delivering the
-    /// primary reply plus any broker wakes/failures it caused.
-    fn run_job(&mut self, ticket: Ticket, job: ExecJob) {
-        let shard = (job.session().0 % self.shards_total as u64) as usize;
-        debug_assert_eq!(shard % self.loops, self.me, "job routed to non-owner");
+    /// primary reply plus any broker wakes/failures it caused, then runs
+    /// the shard's periodic checkpoint and group-commit triggers.
+    fn run_job(&mut self, slot: ReplySlot, job: ExecJob) {
+        let shard = self.shard_of(job.session());
+        debug_assert_eq!(shard % self.mesh.loops, self.me, "job routed to non-owner");
         let Some(core) = self.shards.get_mut(&shard) else {
-            self.deliver(ticket, Response::Error(ErrorCode::Shutdown));
+            self.deliver(slot, Response::Error(ErrorCode::Shutdown));
             return;
         };
         match job {
@@ -623,7 +990,7 @@ impl LoopEnv {
                         .map(Response::Opened),
                 );
                 let lsn = core.take_withhold_lsn();
-                self.deliver_or_withhold(shard, lsn, ticket, resp);
+                self.deliver_or_withhold(shard, lsn, slot, resp);
             }
             ExecJob::OpenAvoid {
                 session,
@@ -636,18 +1003,18 @@ impl LoopEnv {
                         .map(Response::Opened),
                 );
                 let lsn = core.take_withhold_lsn();
-                self.deliver_or_withhold(shard, lsn, ticket, resp);
+                self.deliver_or_withhold(shard, lsn, slot, resp);
             }
             ExecJob::Batch { session, events } => {
                 let resp = respond(core.batch(session, &events).map(Response::Batch));
                 let lsn = core.take_withhold_lsn();
-                self.deliver_or_withhold(shard, lsn, ticket, resp);
+                self.deliver_or_withhold(shard, lsn, slot, resp);
             }
             ExecJob::Close { session } => {
                 let (result, dead) = core.close(session);
                 let lsn = core.take_withhold_lsn();
                 let resp = respond(result.map(|()| Response::Closed));
-                self.deliver_or_withhold(shard, lsn, ticket, resp);
+                self.deliver_or_withhold(shard, lsn, slot, resp);
                 // Waiters parked on the closed broker session can never
                 // be granted — fail them instead of leaking hangs. The
                 // errors ride the close's LSN like any reply it caused.
@@ -662,15 +1029,15 @@ impl LoopEnv {
             }
             ExecJob::Snapshot { session } => {
                 let resp = respond(core.snapshot_blob(session).map(Response::Snapshot));
-                self.deliver(ticket, resp);
+                self.deliver(slot, resp);
             }
             ExecJob::Restore { session, snapshot } => {
                 let resp = respond(core.restore(session, &snapshot).map(Response::Opened));
                 let lsn = core.take_withhold_lsn();
-                self.deliver_or_withhold(shard, lsn, ticket, resp);
+                self.deliver_or_withhold(shard, lsn, slot, resp);
             }
             ExecJob::Broker { session, cmd } => {
-                let out = core.broker(session, cmd, ticket);
+                let out = core.broker(session, cmd, slot);
                 // The command's reply and the waiters it woke all ride
                 // the command's LSN (re-attaches didn't log: deliver).
                 let lsn = core.take_withhold_lsn();
@@ -700,7 +1067,7 @@ impl LoopEnv {
                 core.pipeline.on_flush(durable.saturating_sub(before));
                 self.release_shard(shard);
                 self.deliver(
-                    ticket,
+                    slot,
                     Response::Synced {
                         durable_lsn: durable,
                     },
@@ -721,46 +1088,58 @@ impl LoopEnv {
                     respond(core.subscribe(from_seq, acked_seq))
                 };
                 self.release_shard(shard);
-                self.deliver(ticket, resp);
+                self.deliver(slot, resp);
             }
             ExecJob::ReplicaStatus { .. } => {
-                let resp = {
-                    let core = self.shards.get(&shard).expect("owned shard");
-                    Response::ReplicaStatus(core.replica_status())
-                };
-                self.deliver(ticket, resp);
+                let resp = Response::ReplicaStatus(core.replica_status());
+                self.deliver(slot, resp);
             }
             ExecJob::Promote { epoch, .. } => {
-                let resp = {
-                    let core = self.shards.get_mut(&shard).expect("owned shard");
-                    respond(core.promote(epoch))
-                };
-                self.deliver(ticket, resp);
+                let resp = respond(core.promote(epoch));
+                self.deliver(slot, resp);
+            }
+            ExecJob::ReplApply { records, .. } => {
+                let resp = respond(core.repl_apply(&records));
+                self.deliver(slot, resp);
             }
         }
-        // Trigger (a): the batch may have just reached `max_records`.
-        self.maybe_flush(shard);
+        let Some(core) = self.shards.get_mut(&shard) else {
+            return;
+        };
+        // Compaction: checkpoint + WAL truncation once enough records
+        // accumulated. Its WAL sync moves the durable frontier forward,
+        // so withheld replies may be releasable right after.
+        let checkpointed = core.maybe_checkpoint(false);
+        // Trigger (a): flush as soon as the unsynced batch reaches the
+        // policy's `max_records`.
+        let full = core
+            .pipeline_params()
+            .is_some_and(|(max_records, _)| core.unsynced_records() >= max_records.max(1) as u64);
+        if full {
+            self.flush_shard(shard);
+        } else if checkpointed {
+            self.release_shard(shard);
+        }
     }
 
     /// This loop's shard rows, shard-id order.
     fn own_rows(&self) -> Vec<Stats> {
         let mut ids: Vec<usize> = self.shards.keys().copied().collect();
         ids.sort_unstable();
-        // The fused runtime has no request queue, so the queue-depth
-        // high-water mark is identically zero.
-        ids.iter().map(|s| self.shards[s].report(0)).collect()
+        ids.iter().map(|s| self.shards[s].report()).collect()
     }
 
     /// Assembles the wire `Stats` response once every loop has reported.
     fn finish_stats(&self, rows: Vec<Option<Vec<Stats>>>) -> Response {
         let mut flat: Vec<Stats> = rows.into_iter().flatten().flatten().collect();
         flat.sort_by_key(|s| s.counter("service.shard_id"));
-        Response::Stats {
-            shards: stats_rows(&flat),
-            frontend: Some(self.counters.snapshot()),
-            cores: core_stats_snapshot(&self.loop_counters),
-        }
+        self.mesh.stats_response(&flat)
     }
+}
+
+/// Maps a typed service failure to its wire response.
+fn error_response(e: ServiceError) -> Response {
+    Response::Error(e.into())
 }
 
 /// Maps a service result to its wire response.
@@ -770,7 +1149,7 @@ fn respond(r: Result<Response, ServiceError>) -> Response {
 
 /// Fills waiting slots from the delivery buffer. Deliveries for
 /// connections that died in the meantime are discarded — the slot died
-/// with the connection, exactly as a dropped reply channel would have.
+/// with the connection.
 fn apply_deliveries(env: &mut LoopEnv, conns: &mut [CConn]) {
     for (conn_id, seq, resp) in env.deliveries.drain(..) {
         let Some(c) = conns.iter_mut().find(|c| c.id == conn_id) else {
@@ -784,19 +1163,20 @@ fn apply_deliveries(env: &mut LoopEnv, conns: &mut [CConn]) {
 
 /// Consumes every complete frame in `c`'s read buffer: decode in place,
 /// execute inline when this loop owns the session's shard, forward
-/// otherwise. Mirrors the evloop's `process_frames` semantics (in-band
-/// `BadRequest`, `Busy` past the pipeline cap, desync drop) exactly.
+/// otherwise. Undecodable frames answer `BadRequest` in-band, frames
+/// past the pipeline cap answer `Busy`, and a framing error (oversized
+/// length prefix) drops the connection.
 fn process_conn_frames(env: &mut LoopEnv, c: &mut CConn) {
     loop {
         match c.rbuf.next_frame() {
             Err(_) => {
-                env.counters.desynced.fetch_add(1, Ordering::Relaxed);
+                env.mesh.counters.desynced.fetch_add(1, Ordering::Relaxed);
                 c.dead = true;
                 return;
             }
             Ok(None) => break,
             Ok(Some(range)) => {
-                env.counters.frames_in.fetch_add(1, Ordering::Relaxed);
+                env.mesh.counters.frames_in.fetch_add(1, Ordering::Relaxed);
                 env.lc().frames_in.fetch_add(1, Ordering::Relaxed);
                 let seq = c.next_seq;
                 c.next_seq += 1;
@@ -809,37 +1189,47 @@ fn process_conn_frames(env: &mut LoopEnv, c: &mut CConn) {
                 let slot = match decode_request(c.rbuf.slice(range)) {
                     Err(_) => Slot::Ready(Response::Error(ErrorCode::BadRequest)),
                     Ok(_) if over_depth => {
-                        env.counters.busy_replies.fetch_add(1, Ordering::Relaxed);
+                        env.mesh
+                            .counters
+                            .busy_replies
+                            .fetch_add(1, Ordering::Relaxed);
                         Slot::Ready(Response::Busy)
                     }
                     Ok(Request::Stats) => {
-                        if env.loops == 1 {
-                            let rows = vec![Some(env.own_rows())];
+                        let mut rows = vec![None; env.mesh.loops];
+                        rows[env.me] = Some(env.own_rows());
+                        if env.mesh.loops == 1 {
                             Slot::Ready(env.finish_stats(rows))
                         } else {
-                            let mut rows = vec![None; env.loops];
-                            rows[env.me] = Some(env.own_rows());
-                            for target in 0..env.loops {
+                            for target in 0..env.mesh.loops {
                                 if target != env.me {
-                                    env.send_to(target, CoreMsg::StatsAsk { ticket });
+                                    env.mesh.send_to(target, CoreMsg::StatsAsk { ticket });
                                     env.cross_outstanding += 1;
                                 }
                             }
                             Slot::Stats(rows)
                         }
                     }
-                    Ok(req) => match to_job(env, c, req) {
+                    Ok(req) => match env.mesh.to_job(req) {
                         Err(resp) => Slot::Ready(*resp),
                         Ok(job) => {
-                            let shard = (job.session().0 % env.shards_total as u64) as usize;
-                            let owner = shard % env.loops;
+                            let owner = env.mesh.owner(job.session());
+                            if job.opens() {
+                                c.affine = owner;
+                            }
                             if owner == env.me {
                                 env.lc().inline_ops.fetch_add(1, Ordering::Relaxed);
-                                env.run_job(ticket, job);
+                                env.run_job(ReplySlot::Conn(ticket), job);
                             } else {
                                 env.lc().cross_core_forwards.fetch_add(1, Ordering::Relaxed);
                                 env.cross_outstanding += 1;
-                                env.send_to(owner, CoreMsg::Exec { ticket, job });
+                                env.mesh.send_to(
+                                    owner,
+                                    CoreMsg::Exec {
+                                        slot: ReplySlot::Conn(ticket),
+                                        job,
+                                    },
+                                );
                             }
                             Slot::Wait
                         }
@@ -855,124 +1245,6 @@ fn process_conn_frames(env: &mut LoopEnv, c: &mut CConn) {
     } else {
         None
     };
-}
-
-/// Validates a session request and binds it to an [`ExecJob`]; errors
-/// are the same in-band responses the evloop's sync admission checks
-/// produce. Opens allocate the session id here (on the *serving* loop)
-/// and re-point the connection's affinity at the owning loop.
-fn to_job(env: &LoopEnv, c: &mut CConn, req: Request) -> Result<ExecJob, Box<Response>> {
-    let dims_ok = |r: u16, p: u16| r != 0 && p != 0 && r <= env.cfg.max_dim && p <= env.cfg.max_dim;
-    let alloc = |env: &LoopEnv, c: &mut CConn| {
-        let session = SessionId(env.next_session.fetch_add(1, Ordering::Relaxed));
-        c.affine = (session.0 % env.shards_total as u64) as usize % env.loops;
-        session
-    };
-    match req {
-        Request::Open {
-            resources,
-            processes,
-        } => {
-            if !dims_ok(resources, processes) {
-                return Err(Box::new(error_response(ServiceError::BadDimensions)));
-            }
-            Ok(ExecJob::Open {
-                session: alloc(env, c),
-                resources,
-                processes,
-            })
-        }
-        Request::OpenAvoid {
-            resources,
-            processes,
-            mode,
-        } => {
-            if !dims_ok(resources, processes) {
-                return Err(Box::new(error_response(ServiceError::BadDimensions)));
-            }
-            Ok(ExecJob::OpenAvoid {
-                session: alloc(env, c),
-                resources,
-                processes,
-                mode,
-            })
-        }
-        Request::Batch { session, events } => {
-            if events.len() > env.cfg.max_batch {
-                return Err(Box::new(error_response(ServiceError::BatchTooLarge)));
-            }
-            Ok(ExecJob::Batch { session, events })
-        }
-        Request::Close { session } => Ok(ExecJob::Close { session }),
-        Request::Snapshot { session } => Ok(ExecJob::Snapshot { session }),
-        Request::Restore { snapshot } => Ok(ExecJob::Restore {
-            session: alloc(env, c),
-            snapshot,
-        }),
-        Request::SetPriority {
-            session,
-            p,
-            priority,
-        } => Ok(ExecJob::Broker {
-            session,
-            cmd: BrokerCmd::SetPriority { p, priority },
-        }),
-        Request::Acquire {
-            session,
-            p,
-            q,
-            wait,
-        } => Ok(ExecJob::Broker {
-            session,
-            cmd: BrokerCmd::Acquire { p, q, wait },
-        }),
-        Request::BrokerRelease { session, p, q } => Ok(ExecJob::Broker {
-            session,
-            cmd: BrokerCmd::Release { p, q },
-        }),
-        Request::GiveUpAck { session, p } => Ok(ExecJob::Broker {
-            session,
-            cmd: BrokerCmd::GiveUpAck { p },
-        }),
-        Request::Sync { session } => Ok(ExecJob::Sync { session }),
-        // Shard-addressed replication ops ride session routing with
-        // `session = shard`: `shard % shards_total == shard`, so the job
-        // lands on exactly the named shard's owning loop.
-        Request::Subscribe {
-            shard,
-            from_seq,
-            acked_seq,
-        } => {
-            if shard as usize >= env.shards_total {
-                return Err(Box::new(error_response(ServiceError::UnknownSession)));
-            }
-            Ok(ExecJob::Subscribe {
-                session: SessionId(shard as u64),
-                from_seq,
-                acked_seq,
-            })
-        }
-        Request::ReplicaStatus { shard } => {
-            if shard as usize >= env.shards_total {
-                return Err(Box::new(error_response(ServiceError::UnknownSession)));
-            }
-            Ok(ExecJob::ReplicaStatus {
-                session: SessionId(shard as u64),
-            })
-        }
-        Request::Promote { shard, epoch } => {
-            if shard as usize >= env.shards_total {
-                return Err(Box::new(error_response(ServiceError::UnknownSession)));
-            }
-            Ok(ExecJob::Promote {
-                session: SessionId(shard as u64),
-                epoch,
-            })
-        }
-        // Handled by the caller before `to_job` (it fans out, it does
-        // not execute on a single shard).
-        Request::Stats => unreachable!("Stats is routed before to_job"),
-    }
 }
 
 /// Smallest remaining time until any reap deadline, as a poll timeout.
@@ -1001,16 +1273,10 @@ fn reap_timeout_ms(conns: &[CConn], cfg: &CoreConfig, now: Instant) -> i32 {
 struct CoreCtx {
     me: usize,
     cfg: CoreConfig,
-    loops: usize,
-    shards_total: usize,
+    mesh: Mesh,
     stop: Arc<AtomicBool>,
-    counters: Arc<Counters>,
-    loop_counters: Arc<Vec<LoopCounters>>,
     inbox: Receiver<CoreMsg>,
-    inboxes: Vec<Sender<CoreMsg>>,
     wake_rx: UnixStream,
-    wake_txs: Vec<UnixStream>,
-    next_session: Arc<AtomicU64>,
     ready_tx: Sender<(usize, u64, Vec<RecoveryInfo>)>,
     go_rx: Receiver<()>,
 }
@@ -1024,8 +1290,8 @@ fn run_core_loop(ctx: CoreCtx) {
         (ctx.cfg.par.threads > 1).then(|| Arc::new(WorkerPool::new(ctx.cfg.par.threads)));
     // Build (and, with durability, recover) the owned shards before the
     // acceptor starts: no request may observe a half-recovered service.
-    let mut shards: HashMap<usize, ShardCore<Ticket>> = HashMap::new();
-    for shard in (ctx.me..ctx.shards_total).step_by(ctx.loops.max(1)) {
+    let mut shards: HashMap<usize, ShardCore> = HashMap::new();
+    for shard in (ctx.me..ctx.mesh.shards_total).step_by(ctx.mesh.loops) {
         shards.insert(
             shard,
             ShardCore::new(
@@ -1056,16 +1322,10 @@ fn run_core_loop(ctx: CoreCtx) {
 
     let mut env = LoopEnv {
         me: ctx.me,
-        loops: ctx.loops,
-        shards_total: ctx.shards_total,
         cfg: ctx.cfg,
+        mesh: ctx.mesh,
         shards,
         deliveries: Vec::new(),
-        inboxes: ctx.inboxes,
-        wake_txs: ctx.wake_txs,
-        counters: ctx.counters,
-        loop_counters: ctx.loop_counters,
-        next_session: ctx.next_session,
         cross_outstanding: 0,
         withheld: HashMap::new(),
     };
@@ -1089,20 +1349,19 @@ fn run_core_loop(ctx: CoreCtx) {
                     env.lc().migrations_in.fetch_add(1, Ordering::Relaxed);
                     conns.push(*c);
                 }
-                CoreMsg::Exec { ticket, job } => env.run_job(ticket, job),
+                CoreMsg::Exec { slot, job } => env.run_job(slot, job),
                 CoreMsg::Done { conn, seq, resp } => {
                     env.cross_outstanding = env.cross_outstanding.saturating_sub(1);
                     env.deliveries.push((conn, seq, resp));
                 }
                 CoreMsg::StatsAsk { ticket } => {
                     let rows = env.own_rows();
-                    let me = env.me;
-                    env.send_to(
+                    env.mesh.send_to(
                         ticket.home,
                         CoreMsg::StatsReply {
                             conn: ticket.conn,
                             seq: ticket.seq,
-                            from: me,
+                            from: env.me,
                             rows,
                         },
                     );
@@ -1126,14 +1385,17 @@ fn run_core_loop(ctx: CoreCtx) {
                         }
                     }
                 }
+                CoreMsg::Rows(tx) => {
+                    let _ = tx.send(env.own_rows());
+                }
             }
         }
         apply_deliveries(&mut env, &mut conns);
         // Complete what finished, then flush.
         for c in conns.iter_mut() {
-            c.pump_replies(&env.counters, &env.loop_counters[env.me]);
+            c.pump_replies(&env.mesh.counters, &env.mesh.loop_counters[env.me]);
             if c.backlog() > 0 {
-                c.flush(&env.counters);
+                c.flush(&env.mesh.counters);
             }
         }
         // Hand quiescent connections to their affine loop: with no
@@ -1150,7 +1412,7 @@ fn run_core_loop(ctx: CoreCtx) {
             {
                 let c = conns.swap_remove(i);
                 let target = c.affine;
-                env.send_to(target, CoreMsg::Migrate(Box::new(c)));
+                env.mesh.send_to(target, CoreMsg::Migrate(Box::new(c)));
             } else {
                 i += 1;
             }
@@ -1162,17 +1424,23 @@ fn run_core_loop(ctx: CoreCtx) {
             if !reap {
                 if let Some(t) = c.partial_since {
                     if now - t >= env.cfg.partial_frame_deadline {
-                        env.counters.reaped_partial.fetch_add(1, Ordering::Relaxed);
+                        env.mesh
+                            .counters
+                            .reaped_partial
+                            .fetch_add(1, Ordering::Relaxed);
                         reap = true;
                     }
                 }
             }
             if !reap && c.pending.is_empty() && now - c.last_activity >= env.cfg.idle_timeout {
-                env.counters.reaped_idle.fetch_add(1, Ordering::Relaxed);
+                env.mesh
+                    .counters
+                    .reaped_idle
+                    .fetch_add(1, Ordering::Relaxed);
                 reap = true;
             }
             if reap {
-                env.counters.closed.fetch_add(1, Ordering::Relaxed);
+                env.mesh.counters.closed.fetch_add(1, Ordering::Relaxed);
             }
             !reap
         });
@@ -1207,9 +1475,9 @@ fn run_core_loop(ctx: CoreCtx) {
         env.flush_idle();
         apply_deliveries(&mut env, &mut conns);
         for c in conns.iter_mut() {
-            c.pump_replies(&env.counters, &env.loop_counters[env.me]);
+            c.pump_replies(&env.mesh.counters, &env.mesh.loop_counters[env.me]);
             if c.backlog() > 0 {
-                c.flush(&env.counters);
+                c.flush(&env.mesh.counters);
             }
         }
         // No degraded tick: completions arrive as self-pipe wakeups, so
@@ -1254,7 +1522,10 @@ fn run_core_loop(ctx: CoreCtx) {
                 match c.rbuf.fill_from(&mut c.stream) {
                     ReadOutcome::Progress(n, eof) => {
                         if n > 0 {
-                            env.counters.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
+                            env.mesh
+                                .counters
+                                .bytes_in
+                                .fetch_add(n as u64, Ordering::Relaxed);
                             c.last_activity = Instant::now();
                             process_conn_frames(&mut env, c);
                         }
@@ -1274,9 +1545,9 @@ fn run_core_loop(ctx: CoreCtx) {
         // same iteration, no hand-off, no tick.
         apply_deliveries(&mut env, &mut conns);
         for c in conns.iter_mut() {
-            c.pump_replies(&env.counters, &env.loop_counters[env.me]);
+            c.pump_replies(&env.mesh.counters, &env.mesh.loop_counters[env.me]);
             if c.backlog() > 0 {
-                c.flush(&env.counters);
+                c.flush(&env.mesh.counters);
             }
         }
     }
@@ -1287,7 +1558,7 @@ fn run_core_loop(ctx: CoreCtx) {
     // Replies still parked after the flush are gated on a follower ack
     // that will never arrive (the runtime is stopping); locally durable
     // is the most a dying process can promise, so deliver.
-    let gated: Vec<(usize, u64, Instant, Ticket, Response)> = env
+    let gated: Vec<(usize, u64, Instant, ReplySlot, Response)> = env
         .withheld
         .iter_mut()
         .flat_map(|(shard, q)| {
@@ -1297,47 +1568,44 @@ fn run_core_loop(ctx: CoreCtx) {
         })
         .collect();
     let now = Instant::now();
-    for (shard, _, since, ticket, resp) in gated {
+    for (shard, _, since, slot, resp) in gated {
         if let Some(core) = env.shards.get_mut(&shard) {
             core.pipeline.on_release(now.duration_since(since));
         }
-        env.deliver(ticket, resp);
+        env.deliver(slot, resp);
     }
     apply_deliveries(&mut env, &mut conns);
     for c in conns.iter_mut() {
-        c.pump_replies(&env.counters, &env.loop_counters[env.me]);
+        c.pump_replies(&env.mesh.counters, &env.mesh.loop_counters[env.me]);
         if c.backlog() > 0 {
-            c.flush(&env.counters);
+            c.flush(&env.mesh.counters);
         }
     }
     for core in env.shards.values_mut() {
         core.finish();
     }
     let n = conns.len() as u64;
-    env.counters.closed.fetch_add(n, Ordering::Relaxed);
+    env.mesh.counters.closed.fetch_add(n, Ordering::Relaxed);
 }
 
 /// Global connection-id source — ids must be unique across loops
 /// because connections migrate between them.
 static NEXT_CONN: AtomicU64 = AtomicU64::new(0);
 
-/// A running thread-per-core fused runtime: acceptor + N pinned loops,
-/// each owning its shards outright. Self-contained — there is no
-/// separate [`crate::Service`] behind it, because the shards *are* the
-/// loops.
+/// The running service: acceptor + N pinned loops, each owning its
+/// shards outright.
 ///
-/// Construction: [`CoreRuntime::bind`]. Dropping the handle stops the
-/// acceptor and joins every loop (open connections drop; durable shards
-/// run their shutdown checkpoint/sync first).
+/// Construction: [`CoreRuntime::bind`]; in-process callers use
+/// [`CoreRuntime::client`], remote ones [`crate::TcpClient`]. Dropping
+/// the handle stops the acceptor and joins every loop (open connections
+/// drop; durable shards run their shutdown checkpoint/sync first).
 pub struct CoreRuntime {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    counters: Arc<Counters>,
-    loop_counters: Arc<Vec<LoopCounters>>,
+    mesh: Mesh,
     recovery: Vec<RecoveryInfo>,
     accept_thread: Option<JoinHandle<()>>,
     loop_threads: Vec<JoinHandle<()>>,
-    wakes: Vec<UnixStream>,
 }
 
 impl CoreRuntime {
@@ -1348,6 +1616,11 @@ impl CoreRuntime {
     /// # Errors
     ///
     /// Propagates bind/pipe/spawn failures.
+    ///
+    /// # Panics
+    ///
+    /// On any durability storage failure (fail-stop: a service that
+    /// cannot log must not acknowledge work).
     pub fn bind(addr: &str, cfg: CoreConfig) -> io::Result<CoreRuntime> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
@@ -1358,16 +1631,12 @@ impl CoreRuntime {
                 .unwrap_or_else(|e| panic!("store init failed: {e}"));
         }
         let stop = Arc::new(AtomicBool::new(false));
-        let counters = Arc::new(Counters::default());
-        let loop_counters: Arc<Vec<LoopCounters>> =
-            Arc::new((0..loops).map(|_| LoopCounters::default()).collect());
-        let next_session = Arc::new(AtomicU64::new(0));
 
         // Wire the mesh: every loop can reach every inbox and wake pipe.
         let mut inboxes = Vec::with_capacity(loops);
         let mut inbox_rxs = Vec::with_capacity(loops);
         let mut wake_rxs = Vec::with_capacity(loops);
-        let mut wake_master = Vec::with_capacity(loops);
+        let mut wakes = Vec::with_capacity(loops);
         for _ in 0..loops {
             let (tx, rx) = mpsc::channel();
             inboxes.push(tx);
@@ -1376,8 +1645,19 @@ impl CoreRuntime {
             rx_end.set_nonblocking(true)?;
             tx_end.set_nonblocking(true)?;
             wake_rxs.push(rx_end);
-            wake_master.push(tx_end);
+            wakes.push(tx_end);
         }
+        let mesh = Mesh {
+            inboxes,
+            wakes: Arc::new(wakes),
+            next_session: Arc::new(AtomicU64::new(0)),
+            counters: Arc::new(Counters::default()),
+            loop_counters: Arc::new((0..loops).map(|_| LoopCounters::default()).collect()),
+            loops,
+            shards_total,
+            max_dim: cfg.max_dim,
+            max_batch: cfg.max_batch,
+        };
 
         let (ready_tx, ready_rx) = mpsc::channel();
         let mut go_txs = Vec::with_capacity(loops);
@@ -1385,23 +1665,13 @@ impl CoreRuntime {
         for (me, (inbox, wake_rx)) in inbox_rxs.into_iter().zip(wake_rxs).enumerate() {
             let (go_tx, go_rx) = mpsc::channel();
             go_txs.push(go_tx);
-            let mut wake_txs = Vec::with_capacity(loops);
-            for w in &wake_master {
-                wake_txs.push(w.try_clone()?);
-            }
             let ctx = CoreCtx {
                 me,
                 cfg: cfg.clone(),
-                loops,
-                shards_total,
+                mesh: mesh.clone(),
                 stop: Arc::clone(&stop),
-                counters: Arc::clone(&counters),
-                loop_counters: Arc::clone(&loop_counters),
                 inbox,
-                inboxes: inboxes.clone(),
                 wake_rx,
-                wake_txs,
-                next_session: Arc::clone(&next_session),
                 ready_tx: ready_tx.clone(),
                 go_rx,
             };
@@ -1425,19 +1695,14 @@ impl CoreRuntime {
             recovery.extend(infos);
         }
         recovery.sort_by_key(|r| r.shard);
-        next_session.store(max_next, Ordering::Relaxed);
+        mesh.next_session.store(max_next, Ordering::Relaxed);
         for go in &go_txs {
             let _ = go.send(());
         }
 
         // Acceptor: round-robin hand-off; migration rebalances after.
         let accept_stop = Arc::clone(&stop);
-        let accept_counters = Arc::clone(&counters);
-        let accept_inboxes = inboxes.clone();
-        let mut accept_wakes = Vec::with_capacity(loops);
-        for w in &wake_master {
-            accept_wakes.push(w.try_clone()?);
-        }
+        let accept_mesh = mesh.clone();
         let accept_thread = std::thread::Builder::new()
             .name("deltaos-core-accept".into())
             .spawn(move || {
@@ -1450,24 +1715,30 @@ impl CoreRuntime {
                     if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                         continue;
                     }
-                    accept_counters.accepted.fetch_add(1, Ordering::Relaxed);
-                    if accept_inboxes[next].send(CoreMsg::Accept(stream)).is_ok() {
-                        let _ = accept_wakes[next].write(&[1]);
-                    }
-                    next = (next + 1) % accept_inboxes.len();
+                    accept_mesh
+                        .counters
+                        .accepted
+                        .fetch_add(1, Ordering::Relaxed);
+                    accept_mesh.send_to(next, CoreMsg::Accept(stream));
+                    next = (next + 1) % accept_mesh.loops;
                 }
             })?;
 
         Ok(CoreRuntime {
             addr: local,
             stop,
-            counters,
-            loop_counters,
+            mesh,
             recovery,
             accept_thread: Some(accept_thread),
             loop_threads,
-            wakes: wake_master,
         })
+    }
+
+    /// A new in-process client handle.
+    pub fn client(&self) -> Client {
+        Client {
+            mesh: self.mesh.clone(),
+        }
     }
 
     /// The bound address (with the resolved port).
@@ -1475,14 +1746,22 @@ impl CoreRuntime {
         self.addr
     }
 
-    /// Snapshot of the front-end transport counters.
+    /// Snapshot of the transport counters.
     pub fn frontend_stats(&self) -> FrontendStats {
-        self.counters.snapshot()
+        self.mesh.counters.snapshot()
     }
 
     /// Snapshot of the per-loop counters, loop order.
     pub fn core_stats(&self) -> Vec<CoreStats> {
-        core_stats_snapshot(&self.loop_counters)
+        core_stats_snapshot(&self.mesh.loop_counters)
+    }
+
+    /// Every shard's counters (index = shard id), as the loops report
+    /// them right now — the full `service.*` / `store.*` key set, of
+    /// which the wire `Stats` response carries a fixed subset. Empty
+    /// once the runtime stopped.
+    pub fn shard_stats(&self) -> Vec<Stats> {
+        self.mesh.shard_rows().unwrap_or_default()
     }
 
     /// The per-loop counters as flat `service.core<N>.*` keys (plus the
@@ -1528,8 +1807,8 @@ impl CoreRuntime {
 
     fn halt(&mut self) {
         self.stop.store(true, Ordering::Release);
-        for w in &mut self.wakes {
-            let _ = w.write(&[1]);
+        for w in self.mesh.wakes.iter() {
+            let _ = (&*w).write(&[1]);
         }
         // The acceptor blocks in `incoming()`; poke it awake.
         let _ = TcpStream::connect(self.addr);
@@ -1559,9 +1838,174 @@ impl std::fmt::Debug for CoreRuntime {
     }
 }
 
+/// Cheap, cloneable in-process handle to a [`CoreRuntime`]: the same
+/// [`Request`]/[`Response`] contract as the wire, without the socket.
+/// Each call is forwarded to the owning loop's inbox (self-pipe wake),
+/// executed inline there, and answered over a private channel, so the
+/// calling thread blocks for its own reply only — a `wait`ing
+/// `Acquire` blocks until another caller's release grants it. Safe from
+/// any thread except the runtime's own loop threads. After the runtime
+/// stopped every call answers [`ErrorCode::Shutdown`].
+#[derive(Clone)]
+pub struct Client {
+    mesh: Mesh,
+}
+
+impl Client {
+    /// Runs one request and blocks for its response.
+    pub fn call(&self, req: Request) -> Response {
+        if let Request::Stats = req {
+            return match self.mesh.shard_rows() {
+                Some(rows) => self.mesh.stats_response(&rows),
+                None => Response::Error(ErrorCode::Shutdown),
+            };
+        }
+        match self.mesh.to_job(req) {
+            Ok(job) => self.exec(job),
+            Err(resp) => *resp,
+        }
+    }
+
+    /// Follower ingest, the one in-process-only op: mirrors a primary's
+    /// WAL records (as pulled by a wire `Subscribe` against it) into
+    /// replica `shard` byte-for-byte and applies them through the
+    /// recovery interpreter. Answers [`Response::ReplicaStatus`], whose
+    /// `durable_seq` is what the tailer acks back to the primary;
+    /// `EpochFenced` on a primary or for records below the local epoch,
+    /// `SubscribeGap` on a sequence gap, `UnknownSession` for an
+    /// out-of-range shard.
+    pub fn repl_apply(&self, shard: u16, records: Vec<(u64, u64, Vec<u8>)>) -> Response {
+        if shard as usize >= self.mesh.shards_total {
+            return error_response(ServiceError::UnknownSession);
+        }
+        self.exec(ExecJob::ReplApply {
+            session: SessionId(shard as u64),
+            records,
+        })
+    }
+
+    fn exec(&self, job: ExecJob) -> Response {
+        let (tx, rx) = mpsc::channel();
+        let owner = self.mesh.owner(job.session());
+        let sent = self.mesh.send_to(
+            owner,
+            CoreMsg::Exec {
+                slot: ReplySlot::Local(tx),
+                job,
+            },
+        );
+        // A stopped loop drops its inbox (and any parked slot) with it,
+        // which closes the channel.
+        match sent.then(|| rx.recv().ok()).flatten() {
+            Some(resp) => resp,
+            None => Response::Error(ErrorCode::Shutdown),
+        }
+    }
+}
+
+impl std::fmt::Debug for Client {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Client")
+            .field("loops", &self.mesh.loops)
+            .field("shards", &self.mesh.shards_total)
+            .finish_non_exhaustive()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{encode_request, write_frame, EventResult};
+    use deltaos_core::{ProcId, ResId};
+
+    /// Three representative frames, length-prefixed, as one byte stream.
+    fn frame_stream() -> (Vec<u8>, Vec<Vec<u8>>) {
+        let payloads = vec![
+            encode_request(&Request::Stats),
+            encode_request(&Request::Open {
+                resources: 7,
+                processes: 9,
+            }),
+            encode_request(&Request::Batch {
+                session: SessionId(3),
+                events: vec![crate::proto::Event::Probe; 5],
+            }),
+        ];
+        let mut wire = Vec::new();
+        for p in &payloads {
+            write_frame(&mut wire, p).unwrap();
+        }
+        (wire, payloads)
+    }
+
+    /// Collects every currently-complete frame payload (owned, for
+    /// comparison only — the live path borrows).
+    fn drain(fb: &mut FrameBuf) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        while let Some(range) = fb.next_frame().unwrap() {
+            out.push(fb.slice(range).to_vec());
+        }
+        fb.compact();
+        out
+    }
+
+    #[test]
+    fn reassembles_one_byte_at_a_time() {
+        let (wire, payloads) = frame_stream();
+        let mut fb = FrameBuf::default();
+        let mut got = Vec::new();
+        for &b in &wire {
+            fb.extend(&[b]);
+            got.extend(drain(&mut fb));
+            // Compaction never strands bytes: buffer holds at most the
+            // partial head frame.
+            assert!(fb.buf.len() < 4 + payloads.iter().map(Vec::len).max().unwrap() + 1);
+        }
+        assert_eq!(got, payloads);
+        assert!(!fb.has_partial(), "no residue after the final byte");
+    }
+
+    #[test]
+    fn reassembles_across_every_split_point() {
+        let (wire, payloads) = frame_stream();
+        for cut in 0..=wire.len() {
+            let mut fb = FrameBuf::default();
+            let mut got = Vec::new();
+            fb.extend(&wire[..cut]);
+            got.extend(drain(&mut fb));
+            fb.extend(&wire[cut..]);
+            got.extend(drain(&mut fb));
+            assert_eq!(got, payloads, "split at byte {cut}");
+        }
+    }
+
+    #[test]
+    fn whole_stream_in_one_chunk_yields_all_frames() {
+        let (wire, payloads) = frame_stream();
+        let mut fb = FrameBuf::default();
+        fb.extend(&wire);
+        assert_eq!(drain(&mut fb), payloads);
+    }
+
+    #[test]
+    fn oversized_prefix_is_a_framing_error() {
+        let mut fb = FrameBuf::default();
+        fb.extend(&(MAX_FRAME as u32 + 1).to_le_bytes());
+        assert!(matches!(fb.next_frame(), Err(WireError::Oversized { .. })));
+    }
+
+    #[test]
+    fn partial_flag_tracks_the_head_frame() {
+        let (wire, _) = frame_stream();
+        let mut fb = FrameBuf::default();
+        assert!(!fb.has_partial());
+        fb.extend(&wire[..2]); // half a length prefix
+        assert!(fb.next_frame().unwrap().is_none());
+        assert!(fb.has_partial());
+        fb.extend(&wire[2..]);
+        let _ = drain(&mut fb);
+        assert!(!fb.has_partial());
+    }
 
     #[test]
     fn auto_sizing_stays_in_bounds() {
@@ -1577,16 +2021,197 @@ mod tests {
         assert_eq!(fixed.resolved_shards(), 7);
     }
 
-    #[test]
-    fn ticket_routing_is_stable() {
-        // shard = session % shards, owner = shard % loops: the whole
-        // routing contract in one place.
-        let (loops, shards) = (3usize, 7usize);
-        for sid in 0..100u64 {
-            let shard = (sid % shards as u64) as usize;
-            let owner = shard % loops;
-            assert!(owner < loops);
-            assert_eq!(shard, (sid % shards as u64) as usize);
+    fn small() -> CoreRuntime {
+        CoreRuntime::bind(
+            "127.0.0.1:0",
+            CoreConfig {
+                loops: 2,
+                shards: 2,
+                max_sessions_per_shard: 4,
+                max_batch: 16,
+                max_dim: 64,
+                ..CoreConfig::default()
+            },
+        )
+        .expect("bind")
+    }
+
+    fn open(client: &Client, resources: u16, processes: u16) -> Response {
+        client.call(Request::Open {
+            resources,
+            processes,
+        })
+    }
+
+    fn batch(client: &Client, session: SessionId, events: Vec<Event>) -> Response {
+        client.call(Request::Batch { session, events })
+    }
+
+    fn opened(resp: Response) -> SessionId {
+        match resp {
+            Response::Opened(sid) => sid,
+            other => panic!("expected Opened, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn open_batch_probe_close_roundtrip() {
+        let runtime = small();
+        let client = runtime.client();
+        let sid = opened(open(&client, 2, 2));
+        let q = ResId;
+        let p = ProcId;
+        let Response::Batch(results) = batch(
+            &client,
+            sid,
+            vec![
+                Event::Grant { q: q(0), p: p(0) },
+                Event::Grant { q: q(1), p: p(1) },
+                Event::Request { p: p(0), q: q(1) },
+                Event::Request { p: p(1), q: q(0) },
+                Event::Probe,
+            ],
+        ) else {
+            panic!("batch refused");
+        };
+        assert_eq!(results.len(), 5);
+        match results[4] {
+            EventResult::Outcome(o) => assert!(o.deadlock),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(
+            client.call(Request::Close { session: sid }),
+            Response::Closed
+        );
+        assert_eq!(
+            batch(&client, sid, vec![Event::Probe]),
+            Response::Error(ErrorCode::UnknownSession)
+        );
+        let mut merged = Stats::new();
+        for s in &runtime.shard_stats() {
+            merged.merge(s);
+        }
+        // The post-close batch was refused before ingestion, so only the
+        // accepted 5-event batch counts.
+        assert_eq!(merged.counter("service.events"), 5);
+        assert_eq!(merged.counter("service.probes"), 1);
+        assert_eq!(merged.counter("service.sessions_closed"), 1);
+    }
+
+    #[test]
+    fn sessions_spread_across_shards_and_ids_are_unique() {
+        let runtime = small();
+        let client = runtime.client();
+        let ids: Vec<SessionId> = (0..8).map(|_| opened(open(&client, 4, 4))).collect();
+        let mut unique = ids.clone();
+        unique.sort();
+        unique.dedup();
+        assert_eq!(unique.len(), ids.len());
+        let per_shard = runtime.shard_stats();
+        assert_eq!(per_shard.len(), 2);
+        for s in &per_shard {
+            assert_eq!(s.counter("service.sessions_open"), 4);
+        }
+        match client.call(Request::Stats) {
+            Response::Stats { shards, cores, .. } => {
+                assert_eq!(shards.len(), 2);
+                assert_eq!(cores.len(), 2);
+            }
+            other => panic!("stats answered {other:?}"),
+        }
+    }
+
+    #[test]
+    fn admission_control_rejects_bad_opens_and_big_batches() {
+        let runtime = small();
+        let client = runtime.client();
+        let bad = Response::Error(ErrorCode::BadDimensions);
+        assert_eq!(open(&client, 0, 4), bad);
+        assert_eq!(open(&client, 4, 65), bad);
+        // Shard capacity: 4 per shard × 2 shards; the 9th (round-robin)
+        // open must hit a full shard.
+        let mut hit_cap = false;
+        for _ in 0..9 {
+            match open(&client, 2, 2) {
+                Response::Opened(_) => {}
+                Response::Error(ErrorCode::TooManySessions) => {
+                    hit_cap = true;
+                    break;
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert!(hit_cap, "per-shard session cap must engage");
+        assert_eq!(
+            batch(&client, SessionId(0), vec![Event::Probe; 17]),
+            Response::Error(ErrorCode::BatchTooLarge)
+        );
+        assert_eq!(
+            client.repl_apply(9, Vec::new()),
+            Response::Error(ErrorCode::UnknownSession)
+        );
+    }
+
+    #[test]
+    fn snapshot_restore_clones_a_live_session() {
+        let runtime = small();
+        let client = runtime.client();
+        let sid = opened(open(&client, 4, 4));
+        let (p, q) = (ProcId, ResId);
+        let Response::Batch(results) = batch(
+            &client,
+            sid,
+            vec![
+                Event::Grant { q: q(0), p: p(0) },
+                Event::Grant { q: q(1), p: p(1) },
+                Event::Request { p: p(0), q: q(1) },
+                Event::Request { p: p(1), q: q(0) },
+                Event::Probe,
+            ],
+        ) else {
+            panic!("batch refused");
+        };
+        let EventResult::Outcome(orig) = results[4] else {
+            panic!("probe must yield an outcome");
+        };
+        let Response::Snapshot(blob) = client.call(Request::Snapshot { session: sid }) else {
+            panic!("snapshot refused");
+        };
+        let copy = opened(client.call(Request::Restore { snapshot: blob }));
+        assert_ne!(copy, sid, "restore allocates a fresh id");
+        // The clone answers probes exactly as the original would.
+        let probe = Response::Batch(vec![EventResult::Outcome(orig)]);
+        assert_eq!(batch(&client, copy, vec![Event::Probe]), probe);
+        // And both sessions stay independently live.
+        assert_eq!(
+            client.call(Request::Close { session: sid }),
+            Response::Closed
+        );
+        assert_eq!(batch(&client, copy, vec![Event::Probe]), probe);
+        // Garbage is refused with a typed error.
+        assert_eq!(
+            client.call(Request::Restore {
+                snapshot: vec![0xAB; 10]
+            }),
+            Response::Error(ErrorCode::InvalidSnapshot)
+        );
+        assert_eq!(
+            client.call(Request::Snapshot {
+                session: SessionId(9999)
+            }),
+            Response::Error(ErrorCode::UnknownSession)
+        );
+    }
+
+    #[test]
+    fn calls_after_stop_fail_typed() {
+        let runtime = small();
+        let client = runtime.client();
+        let sid = opened(open(&client, 2, 2));
+        runtime.stop();
+        let down = Response::Error(ErrorCode::Shutdown);
+        assert_eq!(batch(&client, sid, vec![Event::Probe]), down);
+        assert_eq!(open(&client, 2, 2), down);
+        assert_eq!(client.call(Request::Stats), down);
     }
 }

@@ -1,13 +1,13 @@
-//! Durability glue between the shard workers and `deltaos-store`.
+//! Durability glue between the shards and `deltaos-store`.
 //!
 //! With a [`DurabilityConfig`] set on
-//! [`ServiceConfig`](crate::ServiceConfig), every shard worker owns a
+//! [`CoreConfig`](crate::CoreConfig), every shard owns a
 //! [`ShardStore`]: state-mutating jobs (`Open`/`Batch`/`Close`/
 //! `Restore` and the broker commands) are appended to the shard's WAL
 //! and committed **before**
 //! they are applied or replied to — write-ahead in the literal sense, so
 //! anything a client saw acknowledged is re-creatable. On startup the
-//! worker loads its latest checkpoint, replays the surviving WAL suffix
+//! shard loads its latest checkpoint, replays the surviving WAL suffix
 //! through the exact same [`Session::apply_batch`] path the live service
 //! uses, and then serves — which is why recovered sessions are
 //! *bit-identical* to an uninterrupted run: same code, same order, same
@@ -18,7 +18,7 @@
 //! that the service reports through `sim::Stats`; skipping them would
 //! make recovery observably different.
 //!
-//! Durability I/O failures panic the shard worker. The alternative —
+//! Durability I/O failures panic the shard's loop. The alternative —
 //! acknowledging work that was not logged — silently breaks the
 //! recovery contract; fail-stop is the honest behavior for a WAL.
 
@@ -37,7 +37,7 @@ use crate::proto::Event;
 use crate::session::Session;
 
 /// Durability settings carried in
-/// [`ServiceConfig`](crate::ServiceConfig). Absent (`None`), the service
+/// [`CoreConfig`](crate::CoreConfig). Absent (`None`), the service
 /// runs memory-only exactly as before — the store is default-off.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurabilityConfig {
@@ -45,7 +45,7 @@ pub struct DurabilityConfig {
     /// `wal-<shard>.log` and one `checkpoint-<shard>.snap` per shard.
     pub dir: PathBuf,
     /// When the WAL fsyncs relative to commits. With
-    /// [`FsyncPolicy::Pipelined`] the front-end runs a per-core group-
+    /// [`FsyncPolicy::Pipelined`] the runtime runs a per-core group-
     /// commit scheduler: durable replies are withheld until their LSN
     /// is flushed, amortizing one fsync over every session the core
     /// serves.
@@ -82,7 +82,7 @@ impl DurabilityConfig {
 }
 
 /// What one shard recovered at startup, surfaced through
-/// [`Service::recovery`](crate::Service::recovery) and as `store.*`
+/// [`CoreRuntime::recovery`](crate::CoreRuntime::recovery) and as `store.*`
 /// counters in shard stats.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryInfo {
@@ -124,8 +124,8 @@ pub(crate) fn proto_event(ev: &WalEvent) -> Event {
     }
 }
 
-/// One shard worker's persistence handle: the open [`ShardStore`] plus
-/// the knobs and recovery info the worker needs at serve time.
+/// One shard's persistence handle: the open [`ShardStore`] plus
+/// the knobs and recovery info the shard needs at serve time.
 pub(crate) struct ShardPersist {
     pub store: ShardStore,
     pub checkpoint_every: u64,
@@ -180,6 +180,7 @@ impl ShardPersist {
 
     /// Writes a checkpoint if `checkpoint_every` records accumulated
     /// since the last one (`force` skips the threshold — shutdown path).
+    /// Returns whether it wrote one.
     pub fn maybe_checkpoint(
         &mut self,
         shard: usize,
@@ -188,9 +189,9 @@ impl ShardPersist {
         sessions: &HashMap<u64, Session>,
         brokers: &HashMap<u64, Broker>,
         force: bool,
-    ) {
+    ) -> bool {
         if !force && self.store.records_since_checkpoint() < self.checkpoint_every {
-            return;
+            return false;
         }
         let mut snaps: Vec<SessionSnapshot> = sessions
             .iter()
@@ -211,11 +212,12 @@ impl ShardPersist {
         self.store
             .checkpoint(ckpt)
             .unwrap_or_else(|e| panic!("checkpoint failed: {e}"));
+        true
     }
 }
 
 /// Result of [`open_shard`]: the persistence handle plus the recovered
-/// session table and counter state the worker starts from.
+/// session table and counter state the shard starts from.
 pub(crate) struct RecoveredShard {
     pub persist: ShardPersist,
     pub sessions: HashMap<u64, Session>,

@@ -330,9 +330,6 @@ pub struct ShardStats {
     pub probes: u64,
     /// Engine result-cache hits across the shard's sessions.
     pub cache_hits: u64,
-    /// Maximum observed in-flight jobs (queued + the one executing);
-    /// bounded by `queue_cap + 1`.
-    pub max_queue_depth: u64,
     /// Reductions served by the dense matrix path (live + retired).
     pub dense_reductions: u64,
     /// Reductions served by the sparse adjacency-list path (live +
@@ -386,11 +383,9 @@ pub struct ShardStats {
     pub promotions: u64,
 }
 
-/// Front-end (event-loop) health counters, serialized in a
-/// [`Response::Stats`] when the serving front-end is the event loop —
+/// Transport health counters, serialized in a [`Response::Stats`] —
 /// operators see reap/busy/backlog health over the wire without process
-/// introspection. The blocking thread-per-connection front-end reports
-/// `None`.
+/// introspection.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrontendStats {
     /// Connections accepted since bind.
@@ -409,7 +404,7 @@ pub struct FrontendStats {
     pub frames_in: u64,
     /// Replies written back.
     pub replies_out: u64,
-    /// `Busy` replies sent under shard backpressure.
+    /// `Busy` replies sent past a connection's pipeline cap.
     pub busy_replies: u64,
     /// Payload + framing bytes read.
     pub bytes_in: u64,
@@ -424,10 +419,8 @@ impl FrontendStats {
     }
 }
 
-/// Per-loop counters of the fused thread-per-core runtime
-/// (`service::core_runtime`), serialized in a [`Response::Stats`]. One
-/// row per pinned loop; front-ends without per-core loops (the worker
-/// pool behind `TcpServer`/`EvServer`) report an empty list.
+/// Per-loop counters of the runtime (`service::core_runtime`),
+/// serialized in a [`Response::Stats`]. One row per pinned loop.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreStats {
     /// Loop index (0-based).
@@ -462,18 +455,16 @@ pub enum Response {
     Batch(Vec<EventResult>),
     /// Session closed.
     Closed,
-    /// Backpressure: the target shard's queue is full — retry later.
-    /// Nothing was applied.
+    /// Backpressure: the connection already has its pipeline cap of
+    /// requests in flight — retry later. Nothing was applied.
     Busy,
-    /// Per-shard counters plus front-end health (when the serving
-    /// front-end tracks it).
+    /// Per-shard counters plus transport and per-loop health.
     Stats {
         /// Per-shard counters.
         shards: Vec<ShardStats>,
-        /// Front-end counters; `None` from front-ends without them.
+        /// Transport counters (always `Some` from the runtime).
         frontend: Option<FrontendStats>,
-        /// Per-loop counters of the thread-per-core runtime; empty from
-        /// front-ends without per-core loops.
+        /// Per-loop counters of the runtime, loop order.
         cores: Vec<CoreStats>,
     },
     /// Opaque durable image of one session.
@@ -798,7 +789,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 /// Serializes a request payload (no length prefix), **appending** to
 /// `out`. The buffer is deliberately not cleared: callers reuse one
 /// allocation across frames (clearing between them) or append several
-/// frames back to back (the event-loop front-end's coalesced writes).
+/// frames back to back (the runtime's coalesced writes).
 pub fn encode_request_into(req: &Request, out: &mut Vec<u8>) {
     match req {
         Request::Open {
@@ -951,7 +942,6 @@ pub fn encode_response_into(resp: &Response, out: &mut Vec<u8>) {
                 put_u64(out, s.events);
                 put_u64(out, s.probes);
                 put_u64(out, s.cache_hits);
-                put_u64(out, s.max_queue_depth);
                 put_u64(out, s.dense_reductions);
                 put_u64(out, s.sparse_reductions);
                 put_u64(out, s.live_edges);
@@ -1443,7 +1433,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
                     events: r.u64()?,
                     probes: r.u64()?,
                     cache_hits: r.u64()?,
-                    max_queue_depth: r.u64()?,
                     dense_reductions: r.u64()?,
                     sparse_reductions: r.u64()?,
                     live_edges: r.u64()?,
@@ -1922,7 +1911,6 @@ mod tests {
             events: 100,
             probes: 10,
             cache_hits: 5,
-            max_queue_depth: 3,
             dense_reductions: 6,
             sparse_reductions: 4,
             live_edges: 17,

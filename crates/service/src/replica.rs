@@ -1,8 +1,8 @@
 //! WAL-streaming replica tailer: the follower half of the replication
 //! pair.
 //!
-//! A follower process runs a normal [`Service`](crate::Service) with
-//! [`ServiceConfig::replica`](crate::ServiceConfig::replica) set (so its
+//! A follower process runs a normal [`CoreRuntime`](crate::CoreRuntime)
+//! with [`CoreConfig::replica`](crate::CoreConfig::replica) set (so its
 //! shards refuse mutations) and one [`ReplicaTailer`] thread that
 //!
 //! 1. polls the primary's wire `Subscribe` op per shard, pulling bounded
@@ -27,7 +27,7 @@
 //! The tailer is deliberately pull-based and single-threaded: one
 //! connection, one in-flight segment per shard, no push path to race
 //! with promotion. Lag is bounded by the primary's replication buffer
-//! ([`ServiceError::SubscribeGap`] says the follower fell off its tail
+//! (`SubscribeGap` says the follower fell off its tail
 //! and must re-seed from snapshots — surfaced in the report, not papered
 //! over).
 
@@ -37,8 +37,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::core_runtime::Client;
 use crate::proto::{ErrorCode, ReplStatus, Request, Response};
-use crate::shard::{Client, ServiceError};
 use crate::tcp::TcpClient;
 
 /// [`ReplicaTailer`] construction parameters.
@@ -86,7 +86,7 @@ pub struct TailerReport {
     /// True when the tailer auto-promoted the local shards after a
     /// heartbeat timeout.
     pub promoted: bool,
-    /// Shards that answered [`ServiceError::SubscribeGap`] — they fell
+    /// Shards that answered `SubscribeGap` — they fell
     /// off the primary's replication buffer and need a snapshot re-seed.
     pub gapped_shards: Vec<u16>,
     /// The last transport/apply error observed, if any.
@@ -102,8 +102,8 @@ pub struct ReplicaTailer {
 }
 
 impl ReplicaTailer {
-    /// Spawns the tailer: `local` is a client of the *replica* service
-    /// this process runs, `cfg.primary` the wire address of the service
+    /// Spawns the tailer: `local` is a client of the *replica* runtime
+    /// this process runs, `cfg.primary` the wire address of the runtime
     /// to tail.
     pub fn start(local: Client, cfg: TailerConfig) -> ReplicaTailer {
         let stop = Arc::new(AtomicBool::new(false));
@@ -146,8 +146,8 @@ struct Cursor {
 }
 
 fn local_status(local: &Client, shard: u16) -> Option<ReplStatus> {
-    match local.replica_status(shard) {
-        Ok(Response::ReplicaStatus(st)) => Some(st),
+    match local.call(Request::ReplicaStatus { shard }) {
+        Response::ReplicaStatus(st) => Some(st),
         _ => None,
     }
 }
@@ -197,20 +197,19 @@ fn run_tailer(local: Client, cfg: TailerConfig, stop: Arc<AtomicBool>) -> Tailer
                             continue; // caught up: heartbeat only
                         }
                         match local.repl_apply(shard, records) {
-                            Ok(Response::ReplicaStatus(st)) => {
+                            Response::ReplicaStatus(st) => {
                                 report.segments += 1;
                                 report.records += st.last_seq.saturating_sub(cur.next_seq - 1);
                                 cur.next_seq = st.last_seq + 1;
                                 cur.acked = st.durable_seq;
                                 progressed = true;
                             }
-                            Ok(_) => {}
-                            Err(ServiceError::SubscribeGap) => {
+                            Response::Error(ErrorCode::SubscribeGap) => {
                                 cur.gapped = true;
                                 report.gapped_shards.push(shard);
                             }
-                            Err(e) => {
-                                report.last_error = Some(e.to_string());
+                            other => {
+                                report.last_error = Some(format!("{other:?}"));
                             }
                         }
                     }
@@ -246,7 +245,11 @@ fn run_tailer(local: Client, cfg: TailerConfig, stop: Arc<AtomicBool>) -> Tailer
             if cfg.auto_promote {
                 for shard in 0..cfg.shards {
                     let epoch = local_status(&local, shard).map_or(0, |st| st.epoch);
-                    if local.promote(shard, epoch + 1).is_ok() {
+                    let promote = Request::Promote {
+                        shard,
+                        epoch: epoch + 1,
+                    };
+                    if let Response::ReplicaStatus(_) = local.call(promote) {
                         report.promoted = true;
                     }
                 }

@@ -2,7 +2,7 @@
 //! [`DetectEngine`], so consecutive batches ride the engine's delta
 //! journal and result cache instead of rebuilding per request.
 //!
-//! A session is strictly single-owner — the shard worker that houses it
+//! A session is strictly single-owner — the shard that houses it
 //! applies events in submission order — which is what makes sharded
 //! execution replayable: feeding the same event log through a fresh
 //! `Session` yields byte-identical results (the determinism the
@@ -50,11 +50,11 @@ impl Session {
         }
     }
 
-    /// Creates a session whose engine shares the shard worker's
+    /// Creates a session whose engine shares the owning loop's
     /// [`WorkerPool`] for large-matrix reductions. Results are
     /// bit-identical to [`Session::new`] at any thread count; the pool is
-    /// shared per shard worker, never per session, so thread count stays
-    /// `shards × par.threads` regardless of session count.
+    /// shared per loop, never per session, so thread count stays
+    /// `loops × par.threads` regardless of session count.
     pub fn with_parallel(
         resources: u16,
         processes: u16,
@@ -71,7 +71,9 @@ impl Session {
     /// with the service-wide `session` id: the RAG's edges, the engine's
     /// lifetime counters, and the engine's cached detection outcome when
     /// it is still valid — everything needed to restore a session that
-    /// behaves (and counts) exactly like this one.
+    /// behaves (and counts) exactly like this one. Exact between batches,
+    /// where [`Session::apply_batch`] leaves the engine in step with the
+    /// graph.
     pub fn snapshot(&self, session: u64) -> SessionSnapshot {
         SessionSnapshot::capture(session, &self.rag, &self.engine)
     }
@@ -109,7 +111,7 @@ impl Session {
 
     /// Applies a whole batch in submission order, appending one result
     /// per event to `out` and returning the tallies. This is the single
-    /// ingestion path shared by the shard workers and the replay checks
+    /// ingestion path shared by the shards and the replay checks
     /// (the e2e tests feed a connection's event log through a fresh
     /// session via this method and demand bit-identical results).
     pub fn apply_batch(&mut self, events: &[Event], out: &mut Vec<EventResult>) -> BatchTally {
@@ -126,6 +128,11 @@ impl Session {
             }
             out.push(r);
         }
+        // Settle the mirror at the batch boundary: deltas left pending
+        // here would be counted at the next probe by a live session but
+        // absorbed uncounted by a restore, so a checkpoint taken between
+        // batches would change the engine counters of what recovers.
+        self.engine.sync_rag(&self.rag);
         tally
     }
 
@@ -288,6 +295,40 @@ mod tests {
             }
         );
         assert_eq!(batched.rag(), single.rag());
+    }
+
+    #[test]
+    fn snapshot_between_batches_restores_byte_identically() {
+        // Before any batch (engine never synced), and between batches.
+        let prefixes = [
+            vec![],
+            vec![
+                Event::Grant { q: q(0), p: p(0) },
+                Event::Probe,
+                Event::Request { p: p(1), q: q(0) },
+                Event::Grant { q: q(1), p: p(1) },
+            ],
+        ];
+        let mut out = Vec::new();
+        for prefix in prefixes {
+            let mut live = Session::new(4, 4);
+            if !prefix.is_empty() {
+                live.apply_batch(&prefix, &mut out);
+            }
+            let snap = live.snapshot(7);
+            let mut restored = Session::restore_from(&snap, None, ParConfig::default()).unwrap();
+            assert_eq!(restored.snapshot(7), snap);
+            // A probe with no new edit first, then edits and a probe: the
+            // two stay byte-identical, engine counters included.
+            for batch in [
+                vec![Event::Probe],
+                vec![Event::Request { p: p(0), q: q(1) }, Event::Probe],
+            ] {
+                live.apply_batch(&batch, &mut out);
+                restored.apply_batch(&batch, &mut out);
+                assert_eq!(restored.snapshot(7).encode(), live.snapshot(7).encode());
+            }
+        }
     }
 
     #[test]

@@ -3,14 +3,34 @@
 //! applied to a private, single-threaded [`Session`].
 //!
 //! This is the service's core contract — sharding pins a session to one
-//! worker, so cross-session concurrency can never perturb per-session
+//! loop, so cross-session concurrency can never perturb per-session
 //! results (verdicts, iteration counts, rejection reasons, ordering).
 
 use std::thread;
 
 use deltaos_core::{ProcId, ResId};
-use deltaos_service::{Event, EventResult, Service, ServiceConfig, ServiceError, Session};
+use deltaos_service::{
+    Client, CoreConfig, CoreRuntime, Event, EventResult, Request, Response, Session, SessionId,
+};
+use deltaos_sim::Stats;
 use rand::{Rng, SeedableRng, StdRng};
+
+fn open(client: &Client, resources: u16, processes: u16) -> SessionId {
+    match client.call(Request::Open {
+        resources,
+        processes,
+    }) {
+        Response::Opened(sid) => sid,
+        other => panic!("open failed: {other:?}"),
+    }
+}
+
+fn batch(client: &Client, session: SessionId, events: Vec<Event>) -> Vec<EventResult> {
+    match client.call(Request::Batch { session, events }) {
+        Response::Batch(r) => r,
+        other => panic!("batch failed: {other:?}"),
+    }
+}
 
 /// Deterministic per-session event log: a mix of edits, probes and
 /// avoidance queries, sized to force journal replay and cache hits.
@@ -44,39 +64,26 @@ fn concurrent_sessions_match_single_threaded_replay() {
     const BATCH: usize = 16;
     const DIMS: (u16, u16) = (24, 24);
 
-    let service = Service::start(ServiceConfig {
-        shards: 4,
-        queue_cap: 8,
-        ..ServiceConfig::default()
-    });
+    let runtime = CoreRuntime::bind(
+        "127.0.0.1:0",
+        CoreConfig {
+            loops: 2,
+            shards: 4,
+            ..CoreConfig::default()
+        },
+    )
+    .expect("bind");
 
     // One client thread per session, all hammering the 4 shards at once.
     let mut handles = Vec::new();
     for i in 0..SESSIONS {
-        let client = service.client();
+        let client = runtime.client();
         handles.push(thread::spawn(move || {
             let log = event_log(0xA11CE ^ i as u64, DIMS.0, DIMS.1, LOG_LEN);
-            let sid = loop {
-                match client.open(DIMS.0, DIMS.1) {
-                    Ok(sid) => break sid,
-                    Err(ServiceError::Busy) => thread::yield_now(),
-                    Err(e) => panic!("open failed: {e}"),
-                }
-            };
+            let sid = open(&client, DIMS.0, DIMS.1);
             let mut results = Vec::with_capacity(LOG_LEN);
             for chunk in log.chunks(BATCH) {
-                // Busy is a retry signal, not a failure: nothing from
-                // the refused batch was applied.
-                loop {
-                    match client.batch(sid, chunk.to_vec()) {
-                        Ok(mut r) => {
-                            results.append(&mut r);
-                            break;
-                        }
-                        Err(ServiceError::Busy) => thread::yield_now(),
-                        Err(e) => panic!("batch failed: {e}"),
-                    }
-                }
+                results.append(&mut batch(&client, sid, chunk.to_vec()));
             }
             (log, results)
         }));
@@ -91,7 +98,10 @@ fn concurrent_sessions_match_single_threaded_replay() {
         );
     }
 
-    let merged = service.client().stats_merged().unwrap();
+    let mut merged = Stats::new();
+    for s in &runtime.shard_stats() {
+        merged.merge(s);
+    }
     assert_eq!(
         merged.counter("service.events"),
         (SESSIONS * LOG_LEN) as u64
@@ -100,37 +110,32 @@ fn concurrent_sessions_match_single_threaded_replay() {
         merged.counter("service.cache_hits") > 0,
         "repeated probes across batches should hit the engine caches"
     );
-    service.shutdown();
+    runtime.stop();
 }
 
 #[test]
 fn sessions_on_the_same_shard_do_not_interfere() {
-    // Single shard: every session shares one worker, the tightest
+    // Single shard: every session shares one loop, the tightest
     // interleaving possible.
-    let service = Service::start(ServiceConfig {
-        shards: 1,
-        queue_cap: 16,
-        ..ServiceConfig::default()
-    });
+    let runtime = CoreRuntime::bind(
+        "127.0.0.1:0",
+        CoreConfig {
+            loops: 1,
+            shards: 1,
+            ..CoreConfig::default()
+        },
+    )
+    .expect("bind");
 
     let mut handles = Vec::new();
     for i in 0..8usize {
-        let client = service.client();
+        let client = runtime.client();
         handles.push(thread::spawn(move || {
             let log = event_log(0xF00D ^ i as u64, 8, 8, 120);
-            let sid = client.open(8, 8).unwrap();
+            let sid = open(&client, 8, 8);
             let mut results = Vec::new();
             for chunk in log.chunks(5) {
-                loop {
-                    match client.batch(sid, chunk.to_vec()) {
-                        Ok(mut r) => {
-                            results.append(&mut r);
-                            break;
-                        }
-                        Err(ServiceError::Busy) => thread::yield_now(),
-                        Err(e) => panic!("batch failed: {e}"),
-                    }
-                }
+                results.append(&mut batch(&client, sid, chunk.to_vec()));
             }
             (log, results)
         }));
@@ -144,5 +149,5 @@ fn sessions_on_the_same_shard_do_not_interfere() {
             "session {i} diverged on the shared shard"
         );
     }
-    service.shutdown();
+    runtime.stop();
 }

@@ -1,7 +1,6 @@
-//! Thread-per-core fused runtime e2e: the same observable contract the
-//! evloop front-end + worker shards honor, now with shards executed
-//! inline on the loops. Three angles, each swept over the
-//! `DELTAOS_TEST_THREADS` loop-count matrix:
+//! Runtime e2e: shards executed inline on the pinned loops, connections
+//! migrating to the loop that owns their session. Three angles, each
+//! swept over the `DELTAOS_TEST_THREADS` loop-count matrix:
 //!
 //! 1. Pipelined multi-connection traffic must be **bit-identical** to a
 //!    single-threaded in-process replay, with the loops provably

@@ -7,8 +7,8 @@
 //!
 //! The driver is fully synchronous (blocking client calls), so per-shard
 //! op order — and therefore every counter this test compares — is
-//! deterministic. Timing-dependent counters (`queue_depth_max`, the
-//! `store.*` I/O tallies) are deliberately excluded.
+//! deterministic. Timing-dependent counters (the `store.*` I/O tallies)
+//! are deliberately excluded.
 
 use std::collections::HashMap;
 use std::fs;
@@ -17,8 +17,8 @@ use std::path::{Path, PathBuf};
 use deltaos_core::par::ParConfig;
 use deltaos_core::{Priority, ProcId, ResId};
 use deltaos_service::{
-    AvoidanceMode, Broker, DurabilityConfig, Event, EventResult, FsyncPolicy, Service,
-    ServiceConfig, Session, SessionId,
+    AvoidanceMode, Broker, Client, CoreConfig, CoreRuntime, DurabilityConfig, Event, EventResult,
+    FsyncPolicy, Request, Response, Session, SessionId,
 };
 use deltaos_sim::Stats;
 use deltaos_store::wal::{scan, WalEvent};
@@ -59,8 +59,9 @@ fn tmp(name: &str) -> PathBuf {
     dir
 }
 
-fn config(dir: &Path, fsync: FsyncPolicy, checkpoint_every: u64) -> ServiceConfig {
-    ServiceConfig {
+fn config(dir: &Path, fsync: FsyncPolicy, checkpoint_every: u64) -> CoreConfig {
+    CoreConfig {
+        loops: SHARDS,
         shards: SHARDS,
         durability: Some(DurabilityConfig {
             dir: dir.to_path_buf(),
@@ -69,25 +70,70 @@ fn config(dir: &Path, fsync: FsyncPolicy, checkpoint_every: u64) -> ServiceConfi
             checkpoint_on_shutdown: false,
             repl_ack: false,
         }),
-        ..ServiceConfig::default()
+        ..CoreConfig::default()
+    }
+}
+
+fn start(config: CoreConfig) -> CoreRuntime {
+    CoreRuntime::bind("127.0.0.1:0", config).expect("bind runtime")
+}
+
+fn opened(resp: Response) -> SessionId {
+    match resp {
+        Response::Opened(sid) => sid,
+        other => panic!("open answered {other:?}"),
+    }
+}
+
+fn open(client: &Client, resources: u16, processes: u16) -> SessionId {
+    opened(client.call(Request::Open {
+        resources,
+        processes,
+    }))
+}
+
+fn close(client: &Client, session: SessionId) {
+    assert_eq!(client.call(Request::Close { session }), Response::Closed);
+}
+
+fn batch(client: &Client, session: SessionId, events: Vec<Event>) -> Vec<EventResult> {
+    match client.call(Request::Batch { session, events }) {
+        Response::Batch(results) => results,
+        other => panic!("batch answered {other:?}"),
+    }
+}
+
+fn snapshot(client: &Client, session: SessionId) -> Vec<u8> {
+    match client.call(Request::Snapshot { session }) {
+        Response::Snapshot(bytes) => bytes,
+        other => panic!("snapshot answered {other:?}"),
+    }
+}
+
+/// A broker command's reply; typed failures panic, decisions (including
+/// `Rejected`) are returned.
+fn broker_call(client: &Client, req: Request) -> Response {
+    match client.call(req) {
+        Response::Error(e) => panic!("broker command failed: {e:?}"),
+        resp => resp,
     }
 }
 
 /// Drives a seeded workload through a blocking client; returns the still
 /// open session ids.
-fn drive(service: &Service, seed: u64, ops: usize) -> Vec<SessionId> {
+fn drive(runtime: &CoreRuntime, seed: u64, ops: usize) -> Vec<SessionId> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let client = service.client();
-    let mut open: Vec<SessionId> = Vec::new();
+    let client = runtime.client();
+    let mut open_ids: Vec<SessionId> = Vec::new();
     for _ in 0..ops {
         let roll = rng.gen_range(0..10u32);
-        if open.is_empty() || roll == 0 {
-            open.push(client.open(8, 8).unwrap());
-        } else if roll == 1 && open.len() > 1 {
-            let sid = open.swap_remove(rng.gen_range(0..open.len()));
-            client.close(sid).unwrap();
+        if open_ids.is_empty() || roll == 0 {
+            open_ids.push(open(&client, 8, 8));
+        } else if roll == 1 && open_ids.len() > 1 {
+            let sid = open_ids.swap_remove(rng.gen_range(0..open_ids.len()));
+            close(&client, sid);
         } else {
-            let sid = open[rng.gen_range(0..open.len())];
+            let sid = open_ids[rng.gen_range(0..open_ids.len())];
             let n = rng.gen_range(1..8usize);
             let mut events = Vec::with_capacity(n);
             for _ in 0..n {
@@ -101,11 +147,11 @@ fn drive(service: &Service, seed: u64, ops: usize) -> Vec<SessionId> {
                     _ => Event::Probe,
                 });
             }
-            client.batch(sid, events).unwrap();
+            batch(&client, sid, events);
         }
     }
-    open.sort();
-    open
+    open_ids.sort();
+    open_ids
 }
 
 fn wal_event_to_proto(ev: &WalEvent) -> Event {
@@ -322,9 +368,9 @@ fn replay_reference(dir: &Path, wal_bytes: &[Vec<u8>]) -> Vec<RefShard> {
 /// per-shard deterministic counters first, then a probe on every live
 /// session (advanced identically on both sides).
 fn assert_recovery_matches(dir: &Path, reference: &mut [RefShard], fsync: FsyncPolicy) {
-    let service = Service::start(config(dir, fsync, u64::MAX));
-    let client = service.client();
-    let per_shard = client.stats().unwrap();
+    let runtime = start(config(dir, fsync, u64::MAX));
+    let client = runtime.client();
+    let per_shard = runtime.shard_stats();
     for (shard, stats) in per_shard.iter().enumerate() {
         assert_eq!(
             deterministic(stats),
@@ -336,7 +382,7 @@ fn assert_recovery_matches(dir: &Path, reference: &mut [RefShard], fsync: FsyncP
         let mut ids: Vec<u64> = rs.sessions.keys().copied().collect();
         ids.sort();
         for id in ids {
-            let got = client.batch(SessionId(id), vec![Event::Probe]).unwrap();
+            let got = batch(&client, SessionId(id), vec![Event::Probe]);
             let want = rs.sessions.get_mut(&id).unwrap().apply(Event::Probe);
             assert_eq!(
                 got[0], want,
@@ -344,7 +390,7 @@ fn assert_recovery_matches(dir: &Path, reference: &mut [RefShard], fsync: FsyncP
             );
         }
     }
-    service.shutdown();
+    runtime.stop();
 }
 
 #[test]
@@ -352,10 +398,10 @@ fn graceful_restart_is_bit_identical() {
     for (name, checkpoint_every) in [("nockpt", u64::MAX), ("ckpt", 16)] {
         let dir = tmp(&format!("graceful-{name}"));
         {
-            let service = Service::start(config(&dir, FsyncPolicy::EveryN(4), checkpoint_every));
-            assert!(service.recovery().iter().all(|r| r.live_sessions == 0));
-            drive(&service, 0xFEED, 300);
-            service.shutdown();
+            let runtime = start(config(&dir, FsyncPolicy::EveryN(4), checkpoint_every));
+            assert!(runtime.recovery().iter().all(|r| r.live_sessions == 0));
+            drive(&runtime, 0xFEED, 300);
+            runtime.stop();
         }
         let wal_bytes: Vec<Vec<u8>> = (0..SHARDS)
             .map(|s| fs::read(dir.join(format!("wal-{s}.log"))).unwrap_or_default())
@@ -372,9 +418,9 @@ fn graceful_restart_is_bit_identical() {
 fn crash_at_randomized_wal_points_recovers_the_surviving_prefix() {
     let pristine = tmp("crash-pristine");
     {
-        let service = Service::start(config(&pristine, FsyncPolicy::Os, u64::MAX));
-        drive(&service, 0xC0FFEE, 250);
-        service.shutdown();
+        let runtime = start(config(&pristine, FsyncPolicy::Os, u64::MAX));
+        drive(&runtime, 0xC0FFEE, 250);
+        runtime.stop();
     }
     let pristine_wals: Vec<Vec<u8>> = (0..SHARDS)
         .map(|s| fs::read(pristine.join(format!("wal-{s}.log"))).unwrap())
@@ -419,49 +465,66 @@ fn crash_at_randomized_wal_points_recovers_the_surviving_prefix() {
 /// modes, prioritized processes, and a contended acquire/release mix
 /// (few resources, more processes) so waiters queue and R-dl asks fire.
 /// All acquires poll (`wait = false`) — the driver is a single thread.
-fn drive_brokers(service: &Service, seed: u64, ops: usize) -> Vec<SessionId> {
+fn drive_brokers(runtime: &CoreRuntime, seed: u64, ops: usize) -> Vec<SessionId> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let client = service.client();
-    let mut open: Vec<SessionId> = Vec::new();
+    let client = runtime.client();
+    let mut open_ids: Vec<SessionId> = Vec::new();
     for _ in 0..ops {
         let roll = rng.gen_range(0..12u32);
-        if open.is_empty() || roll == 0 {
+        if open_ids.is_empty() || roll == 0 {
             let mode = if rng.gen_bool(0.5) {
                 AvoidanceMode::Metered
             } else {
                 AvoidanceMode::FastPath
             };
-            let sid = client.open_avoid(4, 6, mode).unwrap();
+            let sid = opened(client.call(Request::OpenAvoid {
+                resources: 4,
+                processes: 6,
+                mode,
+            }));
             for i in 0..6u16 {
-                client
-                    .set_priority(sid, ProcId(i), Priority::new(rng.gen_range(1..8u32) as u8))
-                    .unwrap();
+                broker_call(
+                    &client,
+                    Request::SetPriority {
+                        session: sid,
+                        p: ProcId(i),
+                        priority: Priority::new(rng.gen_range(1..8u32) as u8),
+                    },
+                );
             }
-            open.push(sid);
-        } else if roll == 1 && open.len() > 1 {
-            let sid = open.swap_remove(rng.gen_range(0..open.len()));
-            client.close(sid).unwrap();
+            open_ids.push(sid);
+        } else if roll == 1 && open_ids.len() > 1 {
+            let sid = open_ids.swap_remove(rng.gen_range(0..open_ids.len()));
+            close(&client, sid);
         } else {
-            let sid = open[rng.gen_range(0..open.len())];
+            let sid = open_ids[rng.gen_range(0..open_ids.len())];
             let p = ProcId(rng.gen_range(0..6u16));
             let q = ResId(rng.gen_range(0..4u16));
             // Rejected responses are part of the workload: they exercise
             // the logged-but-state-free replay path.
             match rng.gen_range(0..8u32) {
                 0..=4 => {
-                    client.acquire(sid, p, q, false).unwrap();
+                    broker_call(
+                        &client,
+                        Request::Acquire {
+                            session: sid,
+                            p,
+                            q,
+                            wait: false,
+                        },
+                    );
                 }
                 5 | 6 => {
-                    client.broker_release(sid, p, q).unwrap();
+                    broker_call(&client, Request::BrokerRelease { session: sid, p, q });
                 }
                 _ => {
-                    client.give_up_ack(sid, p).unwrap();
+                    broker_call(&client, Request::GiveUpAck { session: sid, p });
                 }
             }
         }
     }
-    open.sort();
-    open
+    open_ids.sort();
+    open_ids
 }
 
 /// The broker chaos case: the service dies at arbitrary WAL byte offsets
@@ -474,9 +537,9 @@ fn drive_brokers(service: &Service, seed: u64, ops: usize) -> Vec<SessionId> {
 fn broker_crash_mid_acquire_regrants_deterministically() {
     let pristine = tmp("broker-crash-pristine");
     {
-        let service = Service::start(config(&pristine, FsyncPolicy::Os, u64::MAX));
-        drive_brokers(&service, 0xB40C, 300);
-        service.shutdown();
+        let runtime = start(config(&pristine, FsyncPolicy::Os, u64::MAX));
+        drive_brokers(&runtime, 0xB40C, 300);
+        runtime.stop();
     }
     let pristine_wals: Vec<Vec<u8>> = (0..SHARDS)
         .map(|s| fs::read(pristine.join(format!("wal-{s}.log"))).unwrap())
@@ -504,9 +567,9 @@ fn broker_crash_mid_acquire_regrants_deterministically() {
             .iter()
             .any(|r| r.brokers.values().any(|b| b.waiter_depth() > 0));
 
-        let service = Service::start(config(&dir, FsyncPolicy::Os, u64::MAX));
-        let client = service.client();
-        let per_shard = client.stats().unwrap();
+        let runtime = start(config(&dir, FsyncPolicy::Os, u64::MAX));
+        let client = runtime.client();
+        let per_shard = runtime.shard_stats();
         for (shard, stats) in per_shard.iter().enumerate() {
             assert_eq!(
                 deterministic(stats),
@@ -521,7 +584,7 @@ fn broker_crash_mid_acquire_regrants_deterministically() {
             // outstanding asks, cycle totals — everything the snapshot
             // encodes.
             for &id in &ids {
-                let got = client.snapshot(SessionId(id)).unwrap();
+                let got = snapshot(&client, SessionId(id));
                 let want = rs.brokers.get(&id).unwrap().snapshot(id).encode();
                 assert_eq!(
                     got, want,
@@ -540,7 +603,14 @@ fn broker_crash_mid_acquire_regrants_deterministically() {
                 };
                 if let Some((p, q)) = edge {
                     let (want, _grants) = b.release(p, q);
-                    let got = client.broker_release(SessionId(id), p, q).unwrap();
+                    let got = broker_call(
+                        &client,
+                        Request::BrokerRelease {
+                            session: SessionId(id),
+                            p,
+                            q,
+                        },
+                    );
                     assert_eq!(
                         got, want,
                         "round {round} session {id}: post-recovery re-grant diverges"
@@ -548,7 +618,7 @@ fn broker_crash_mid_acquire_regrants_deterministically() {
                 }
             }
         }
-        service.shutdown();
+        runtime.stop();
         fs::remove_dir_all(&dir).unwrap();
     }
     assert!(
@@ -563,22 +633,22 @@ fn recovery_reports_and_session_ids_never_collide() {
     let dir = tmp("info");
     let open_after_restart;
     {
-        let service = Service::start(config(&dir, FsyncPolicy::Always, u64::MAX));
-        let open = drive(&service, 0xAB1E, 120);
+        let runtime = start(config(&dir, FsyncPolicy::Always, u64::MAX));
+        let open = drive(&runtime, 0xAB1E, 120);
         assert!(!open.is_empty());
-        service.shutdown();
+        runtime.stop();
         open_after_restart = open;
     }
-    let service = Service::start(config(&dir, FsyncPolicy::Always, u64::MAX));
-    let infos = service.recovery();
+    let runtime = start(config(&dir, FsyncPolicy::Always, u64::MAX));
+    let infos = runtime.recovery();
     assert_eq!(infos.len(), SHARDS);
     let live: u64 = infos.iter().map(|r| r.live_sessions).sum();
     assert_eq!(live, open_after_restart.len() as u64);
     assert!(infos.iter().all(|r| r.shard < SHARDS));
     // Fresh ids must start above everything ever used, even sessions
     // that were closed before the restart.
-    let client = service.client();
-    let fresh = client.open(4, 4).unwrap();
+    let client = runtime.client();
+    let fresh = open(&client, 4, 4);
     assert!(
         fresh.0 >= infos.iter().map(|r| r.next_session).max().unwrap(),
         "fresh id {fresh:?} collides with the recovered id space"
@@ -587,11 +657,11 @@ fn recovery_reports_and_session_ids_never_collide() {
     // Recovered sessions answer under their original ids.
     for sid in &open_after_restart {
         assert!(matches!(
-            client.batch(*sid, vec![Event::Probe]).unwrap()[0],
+            batch(&client, *sid, vec![Event::Probe])[0],
             EventResult::Outcome(_)
         ));
     }
-    service.shutdown();
+    runtime.stop();
     fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -599,14 +669,17 @@ fn recovery_reports_and_session_ids_never_collide() {
 fn checkpoint_compaction_truncates_the_wal() {
     let dir = tmp("compaction");
     {
-        let service = Service::start(config(&dir, FsyncPolicy::EveryN(8), 8));
-        drive(&service, 0x5EED, 200);
-        let merged = service.client().stats_merged().unwrap();
+        let runtime = start(config(&dir, FsyncPolicy::EveryN(8), 8));
+        drive(&runtime, 0x5EED, 200);
+        let mut merged = Stats::new();
+        for s in &runtime.shard_stats() {
+            merged.merge(s);
+        }
         assert!(
             merged.counter("store.checkpoints") > 0,
             "threshold of 8 records over 200 ops must checkpoint"
         );
-        service.shutdown();
+        runtime.stop();
     }
     // After compaction the WAL holds only the post-checkpoint suffix.
     for s in 0..SHARDS {
@@ -622,4 +695,74 @@ fn checkpoint_compaction_truncates_the_wal() {
     let mut reference = replay_reference(&dir, &wal_bytes);
     assert_recovery_matches(&dir, &mut reference, FsyncPolicy::EveryN(8));
     fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Checkpoint → restore → suffix replay must land on exactly the state
+/// of a run that never checkpointed: every live session's snapshot
+/// bytes — engine counters included — equal a no-checkpoint reference
+/// driven through the same ops, for plain and broker sessions alike.
+#[test]
+fn checkpointed_recovery_matches_a_run_without_checkpoints() {
+    for checkpoint_every in [8, 11, 16] {
+        let dir = tmp(&format!("ckpt-identity-{checkpoint_every}"));
+        let drive_all = |runtime: &CoreRuntime| {
+            let mut ids = drive(runtime, 0x1DE7 ^ checkpoint_every, 200);
+            ids.extend(drive_brokers(runtime, 0xB1DE ^ checkpoint_every, 200));
+            ids
+        };
+        let ids = {
+            let runtime = start(config(&dir, FsyncPolicy::Os, checkpoint_every));
+            let ids = drive_all(&runtime);
+            let checkpoints: u64 = runtime
+                .shard_stats()
+                .iter()
+                .map(|s| s.counter("store.checkpoints"))
+                .sum();
+            assert!(
+                checkpoints > 0,
+                "every {checkpoint_every} records over 400 ops must checkpoint"
+            );
+            runtime.stop();
+            ids
+        };
+        let reference = start(CoreConfig {
+            loops: SHARDS,
+            shards: SHARDS,
+            ..CoreConfig::default()
+        });
+        assert_eq!(drive_all(&reference), ids, "same ops, same session ids");
+        let rc = reference.client();
+        let recovered = start(config(&dir, FsyncPolicy::Os, u64::MAX));
+        let client = recovered.client();
+        for &sid in &ids {
+            assert_eq!(
+                snapshot(&client, sid),
+                snapshot(&rc, sid),
+                "checkpoint every {checkpoint_every}: session {sid:?} recovers differently"
+            );
+        }
+        // A probe with no edit since the checkpoint counts the same on
+        // both sides too.
+        let plain: Vec<SessionId> = ids
+            .iter()
+            .copied()
+            .filter(|&sid| {
+                matches!(
+                    client.call(Request::Batch {
+                        session: sid,
+                        events: vec![Event::Probe]
+                    }),
+                    Response::Batch(_)
+                )
+            })
+            .collect();
+        assert!(!plain.is_empty());
+        for &sid in &plain {
+            batch(&rc, sid, vec![Event::Probe]);
+            assert_eq!(snapshot(&client, sid), snapshot(&rc, sid));
+        }
+        recovered.stop();
+        reference.stop();
+        fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -24,8 +24,8 @@ use std::time::Duration;
 
 use deltaos_core::{ProcId, ResId};
 use deltaos_service::{
-    DurabilityConfig, Event, FsyncPolicy, ReplicaTailer, Request, Response, Service, ServiceConfig,
-    ServiceError, SessionId, TailerConfig, TcpClient, TcpServer,
+    Client, CoreConfig, CoreRuntime, DurabilityConfig, ErrorCode, Event, FsyncPolicy,
+    ReplicaTailer, Request, Response, SessionId, TailerConfig, TcpClient,
 };
 use deltaos_store::WalOp;
 use rand::{Rng, SeedableRng, StdRng};
@@ -47,6 +47,34 @@ fn durable_config(dir: &Path, repl_ack: bool) -> DurabilityConfig {
         checkpoint_every_records: 100_000,
         checkpoint_on_shutdown: false,
         repl_ack,
+    }
+}
+
+fn start(config: CoreConfig) -> CoreRuntime {
+    CoreRuntime::bind("127.0.0.1:0", config).expect("bind runtime")
+}
+
+fn open(client: &Client, resources: u16, processes: u16) -> SessionId {
+    match client.call(Request::Open {
+        resources,
+        processes,
+    }) {
+        Response::Opened(sid) => sid,
+        other => panic!("open answered {other:?}"),
+    }
+}
+
+fn batch(client: &Client, session: SessionId, events: Vec<Event>) {
+    match client.call(Request::Batch { session, events }) {
+        Response::Batch(_) => {}
+        other => panic!("batch answered {other:?}"),
+    }
+}
+
+fn snapshot(client: &Client, session: SessionId) -> Vec<u8> {
+    match client.call(Request::Snapshot { session }) {
+        Response::Snapshot(bytes) => bytes,
+        other => panic!("snapshot answered {other:?}"),
     }
 }
 
@@ -146,19 +174,18 @@ fn kill_primary_promote_follower_acked_prefix_survives() {
         let pdir = tmp(&format!("primary-{seed}"));
         let fdir = tmp(&format!("follower-{seed}"));
 
-        let primary = Service::start(ServiceConfig {
+        let primary = start(CoreConfig {
             shards: SHARDS,
             durability: Some(durable_config(&pdir, true)),
-            ..ServiceConfig::default()
+            ..CoreConfig::default()
         });
-        let psrv = TcpServer::bind("127.0.0.1:0", primary.client()).expect("bind primary");
-        let paddr = psrv.local_addr();
+        let paddr = primary.local_addr();
 
-        let follower = Service::start(ServiceConfig {
+        let follower = start(CoreConfig {
             shards: SHARDS,
             replica: true,
             durability: Some(durable_config(&fdir, false)),
-            ..ServiceConfig::default()
+            ..CoreConfig::default()
         });
         let tailer =
             ReplicaTailer::start(follower.client(), TailerConfig::new(paddr, SHARDS as u16));
@@ -169,7 +196,7 @@ fn kill_primary_promote_follower_acked_prefix_survives() {
         {
             let c = primary.client();
             for sid in 0..SESSIONS {
-                let got = c.open(DIMS, DIMS).expect("open");
+                let got = open(&c, DIMS, DIMS);
                 assert_eq!(got, SessionId(sid), "opens must allocate densely");
             }
         }
@@ -183,8 +210,7 @@ fn kill_primary_promote_follower_acked_prefix_survives() {
         let mut rng = StdRng::seed_from_u64(0xDEAD ^ seed);
         std::thread::sleep(Duration::from_millis(rng.gen_range(5..40)));
         killed.store(true, Ordering::Release);
-        psrv.stop();
-        primary.shutdown();
+        primary.stop();
         let log = writer.join().expect("writer thread");
         total_acked += log.acked.len();
         let report = tailer.stop();
@@ -196,7 +222,7 @@ fn kill_primary_promote_follower_acked_prefix_survives() {
         // Phase 3 — promote the follower under epoch 1.
         let fc = follower.client();
         for shard in 0..SHARDS as u16 {
-            match fc.promote(shard, 1).expect("promote") {
+            match fc.call(Request::Promote { shard, epoch: 1 }) {
                 Response::ReplicaStatus(st) => {
                     assert!(st.primary);
                     assert_eq!(st.epoch, 1);
@@ -208,32 +234,28 @@ fn kill_primary_promote_follower_acked_prefix_survives() {
         // Phase 4 — the survivor must equal `acked ++ ambiguous[..k]`
         // for some k, independently per session, byte for byte. The
         // reference replays the writer's ledger through a fresh
-        // memory-only service with identical session ids. Snapshots are
+        // memory-only runtime with identical session ids. Snapshots are
         // taken before any probe is served on the survivor (replicas
         // serve probes without logging, letting their engine counters
         // run ahead — comparing first keeps the ledger exact).
         let ledger = per_session(&log);
-        let reference = Service::start(ServiceConfig {
+        let reference = start(CoreConfig {
             shards: SHARDS,
-            ..ServiceConfig::default()
+            ..CoreConfig::default()
         });
         let rc = reference.client();
         for sid in 0..SESSIONS {
-            assert_eq!(rc.open(DIMS, DIMS).expect("ref open"), SessionId(sid));
+            assert_eq!(open(&rc, DIMS, DIMS), SessionId(sid));
         }
         for (sid, (acked, ambiguous)) in ledger.iter().enumerate() {
-            let survivor = fc
-                .snapshot(SessionId(sid as u64))
-                .expect("survivor snapshot");
-            for batch in acked {
-                rc.batch(SessionId(sid as u64), batch.clone())
-                    .expect("ref replay");
+            let survivor = snapshot(&fc, SessionId(sid as u64));
+            for events in acked {
+                batch(&rc, SessionId(sid as u64), events.clone());
             }
-            let mut candidates = vec![rc.snapshot(SessionId(sid as u64)).expect("ref snapshot")];
-            for batch in ambiguous {
-                rc.batch(SessionId(sid as u64), batch.clone())
-                    .expect("ref replay");
-                candidates.push(rc.snapshot(SessionId(sid as u64)).expect("ref snapshot"));
+            let mut candidates = vec![snapshot(&rc, SessionId(sid as u64))];
+            for events in ambiguous {
+                batch(&rc, SessionId(sid as u64), events.clone());
+                candidates.push(snapshot(&rc, SessionId(sid as u64)));
             }
             let matched = candidates.iter().position(|c| *c == survivor);
             assert!(
@@ -244,39 +266,37 @@ fn kill_primary_promote_follower_acked_prefix_survives() {
                 ambiguous.len(),
             );
         }
-        reference.shutdown();
+        reference.stop();
 
         // Phase 5 — epoch fencing: a record stamped with the deposed
         // primary's epoch 0 lands exactly at the survivor's frontier and
         // must be refused, not applied.
         for shard in 0..SHARDS as u16 {
-            let st = match fc.replica_status(shard).expect("status") {
+            let st = match fc.call(Request::ReplicaStatus { shard }) {
                 Response::ReplicaStatus(st) => st,
                 other => panic!("status answered {other:?}"),
             };
             let mut stale = Vec::new();
             WalOp::Close { session: 0 }.encode_into(&mut stale);
-            let err = fc
-                .repl_apply(shard, vec![(st.last_seq + 1, 0, stale)])
-                .expect_err("stale-epoch record must be fenced");
-            assert_eq!(err, ServiceError::EpochFenced);
+            let err = fc.repl_apply(shard, vec![(st.last_seq + 1, 0, stale)]);
+            assert_eq!(err, Response::Error(ErrorCode::EpochFenced));
             // A promote that does not advance the epoch is fenced too.
-            let err = fc.promote(shard, 1).expect_err("stale promote");
-            assert_eq!(err, ServiceError::EpochFenced);
+            let err = fc.call(Request::Promote { shard, epoch: 1 });
+            assert_eq!(err, Response::Error(ErrorCode::EpochFenced));
         }
 
         // Phase 6 — the promotion survives a restart: the epoch was
         // checkpointed, and the recovered service still holds the
         // sessions.
-        follower.shutdown();
-        let revived = Service::start(ServiceConfig {
+        follower.stop();
+        let revived = start(CoreConfig {
             shards: SHARDS,
             durability: Some(durable_config(&fdir, false)),
-            ..ServiceConfig::default()
+            ..CoreConfig::default()
         });
         let rvc = revived.client();
         for shard in 0..SHARDS as u16 {
-            match rvc.replica_status(shard).expect("revived status") {
+            match rvc.call(Request::ReplicaStatus { shard }) {
                 Response::ReplicaStatus(st) => {
                     assert!(st.epoch >= 1, "seed {seed}: epoch lost across restart");
                 }
@@ -284,10 +304,9 @@ fn kill_primary_promote_follower_acked_prefix_survives() {
             }
         }
         for sid in 0..SESSIONS {
-            rvc.batch(SessionId(sid), vec![Event::Probe])
-                .expect("revived probe");
+            batch(&rvc, SessionId(sid), vec![Event::Probe]);
         }
-        revived.shutdown();
+        revived.stop();
 
         let _ = std::fs::remove_dir_all(&pdir);
         let _ = std::fs::remove_dir_all(&fdir);

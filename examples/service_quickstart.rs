@@ -4,41 +4,52 @@
 //! Run with `cargo run --example service_quickstart`.
 
 use deltaos::core::{ProcId, ResId};
-use deltaos::service::{
-    Event, EventResult, Request, Response, Service, ServiceConfig, TcpClient, TcpServer,
-};
+use deltaos::service::{CoreConfig, CoreRuntime, Event, EventResult, Request, Response, TcpClient};
 
 fn main() {
-    // --- In-process: a service with 4 shard workers -------------------
-    let service = Service::start(ServiceConfig::default());
-    let client = service.client();
+    // --- In-process: a runtime with 4 shards on 2 pinned loops --------
+    let runtime = CoreRuntime::bind(
+        "127.0.0.1:0",
+        CoreConfig {
+            loops: 2,
+            shards: 4,
+            ..CoreConfig::default()
+        },
+    )
+    .expect("bind");
+    let client = runtime.client();
 
-    let sid = client.open(8, 8).expect("open session");
-    let results = client
-        .batch(
-            sid,
-            vec![
-                // The classic two-process hold-and-wait...
-                Event::Grant {
-                    q: ResId(0),
-                    p: ProcId(0),
-                },
-                Event::Grant {
-                    q: ResId(1),
-                    p: ProcId(1),
-                },
-                Event::Request {
-                    p: ProcId(0),
-                    q: ResId(1),
-                },
-                // ...probed *before* admitting the closing edge.
-                Event::WouldDeadlock {
-                    p: ProcId(1),
-                    q: ResId(0),
-                },
-            ],
-        )
-        .expect("apply batch");
+    let Response::Opened(sid) = client.call(Request::Open {
+        resources: 8,
+        processes: 8,
+    }) else {
+        panic!("expected Opened");
+    };
+    let Response::Batch(results) = client.call(Request::Batch {
+        session: sid,
+        events: vec![
+            // The classic two-process hold-and-wait...
+            Event::Grant {
+                q: ResId(0),
+                p: ProcId(0),
+            },
+            Event::Grant {
+                q: ResId(1),
+                p: ProcId(1),
+            },
+            Event::Request {
+                p: ProcId(0),
+                q: ResId(1),
+            },
+            // ...probed *before* admitting the closing edge.
+            Event::WouldDeadlock {
+                p: ProcId(1),
+                q: ResId(0),
+            },
+        ],
+    }) else {
+        panic!("expected Batch");
+    };
     match results[3] {
         EventResult::Outcome(o) => {
             println!("would P1->R0 deadlock? {} (steps {})", o.deadlock, o.steps);
@@ -47,9 +58,8 @@ fn main() {
         ref other => panic!("unexpected {other:?}"),
     }
 
-    // --- The same service fronted by TCP ------------------------------
-    let server = TcpServer::bind("127.0.0.1:0", service.client()).expect("bind");
-    let mut tcp = TcpClient::connect(server.local_addr()).expect("connect");
+    // --- The same runtime over TCP -----------------------------------
+    let mut tcp = TcpClient::connect(runtime.local_addr()).expect("connect");
 
     let Response::Opened(remote_sid) = tcp
         .call(&Request::Open {
@@ -89,7 +99,7 @@ fn main() {
         println!("{} shards ingested {events} events total", shards.len());
     }
 
-    server.stop();
-    service.shutdown();
-    println!("service drained cleanly");
+    drop(tcp);
+    runtime.stop();
+    println!("runtime stopped cleanly");
 }

@@ -1,19 +1,26 @@
 //! End-to-end service check through the facade crate: a TCP client
-//! conversation against a live sharded service, including error paths
+//! conversation against a live sharded runtime, including error paths
 //! and a malformed-frame probe against the decoder.
 
 use std::net::TcpStream;
 
 use deltaos::core::{ProcId, ResId};
 use deltaos::service::{
-    ErrorCode, Event, EventResult, Request, Response, Service, ServiceConfig, SessionId, TcpClient,
-    TcpServer,
+    CoreConfig, CoreRuntime, ErrorCode, Event, EventResult, Request, Response, SessionId, TcpClient,
 };
+
+/// Four shards on two loops.
+fn config() -> CoreConfig {
+    CoreConfig {
+        loops: 2,
+        shards: 4,
+        ..CoreConfig::default()
+    }
+}
 
 #[test]
 fn tcp_round_trip_detects_deadlock_and_reports_stats() {
-    let service = Service::start(ServiceConfig::default());
-    let server = TcpServer::bind("127.0.0.1:0", service.client()).unwrap();
+    let server = CoreRuntime::bind("127.0.0.1:0", config()).unwrap();
     let mut client = TcpClient::connect(server.local_addr()).unwrap();
 
     let sid = match client
@@ -85,7 +92,7 @@ fn tcp_round_trip_detects_deadlock_and_reports_stats() {
     // Stats reflect the session's traffic.
     match client.call(&Request::Stats).unwrap() {
         Response::Stats { shards, .. } => {
-            assert_eq!(shards.len(), ServiceConfig::default().shards);
+            assert_eq!(shards.len(), config().resolved_shards());
             let events: u64 = shards.iter().map(|s| s.events).sum();
             let probes: u64 = shards.iter().map(|s| s.probes).sum();
             assert_eq!(events, 5);
@@ -99,8 +106,8 @@ fn tcp_round_trip_detects_deadlock_and_reports_stats() {
         Response::Closed
     );
 
+    let per_shard = server.shard_stats();
     server.stop();
-    let per_shard = service.shutdown();
     let closed: u64 = per_shard
         .iter()
         .map(|s| s.counter("service.sessions_closed"))
@@ -110,8 +117,7 @@ fn tcp_round_trip_detects_deadlock_and_reports_stats() {
 
 #[test]
 fn tcp_snapshot_restore_roundtrip() {
-    let service = Service::start(ServiceConfig::default());
-    let server = TcpServer::bind("127.0.0.1:0", service.client()).unwrap();
+    let server = CoreRuntime::bind("127.0.0.1:0", config()).unwrap();
     let mut client = TcpClient::connect(server.local_addr()).unwrap();
 
     let sid = match client
@@ -195,15 +201,13 @@ fn tcp_snapshot_restore_roundtrip() {
     );
 
     server.stop();
-    service.shutdown();
 }
 
 #[test]
 fn malformed_frames_get_in_band_errors_and_never_kill_the_service() {
     use std::io::{Read, Write};
 
-    let service = Service::start(ServiceConfig::default());
-    let server = TcpServer::bind("127.0.0.1:0", service.client()).unwrap();
+    let server = CoreRuntime::bind("127.0.0.1:0", config()).unwrap();
 
     // A raw socket sending a well-framed but garbage payload: the server
     // answers with a typed BadRequest error and keeps the stream alive.
@@ -248,5 +252,4 @@ fn malformed_frames_get_in_band_errors_and_never_kill_the_service() {
     ));
 
     server.stop();
-    service.shutdown();
 }
