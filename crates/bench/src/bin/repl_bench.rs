@@ -30,8 +30,8 @@ use std::time::{Duration, Instant};
 use deltaos_cluster::{ClusterClient, ClusterConfig};
 use deltaos_core::{ProcId, ResId};
 use deltaos_service::{
-    Client, CoreConfig, CoreRuntime, DurabilityConfig, Event, FsyncPolicy, ReplStatus,
-    ReplicaTailer, Request, Response, SessionId, TailerConfig,
+    Client, CoreConfig, CoreRuntime, DurabilityConfig, Event, ReplStatus, ReplicaTailer, Request,
+    Response, SessionId, TailerConfig,
 };
 use rand::{Rng, SeedableRng, StdRng};
 
@@ -86,13 +86,12 @@ fn tmp(name: &str) -> PathBuf {
     dir
 }
 
+/// The default pipelined group commit, without checkpoints.
 fn durable(dir: &Path) -> DurabilityConfig {
     DurabilityConfig {
-        dir: dir.to_path_buf(),
-        fsync: FsyncPolicy::EveryN(8),
         checkpoint_every_records: 1_000_000,
         checkpoint_on_shutdown: false,
-        repl_ack: false,
+        ..DurabilityConfig::new(dir)
     }
 }
 

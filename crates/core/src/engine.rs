@@ -35,13 +35,10 @@
 //! untouched: the paper's Table 5 models a C implementation that rebuilds
 //! kernel tables on every invocation, and its costs must not shift.
 
-use std::sync::Arc;
-
 use crate::matrix::{Cell, StateMatrix};
-use crate::par::{ParConfig, WorkerPool};
 use crate::pdda::DetectOutcome;
 use crate::rag::RagDelta;
-use crate::reduction::{reduce_core, ParExec, ReduceScratch};
+use crate::reduction::{reduce_core, ReduceScratch};
 use crate::sparse::{SparseConfig, SparseState};
 use crate::{ProcId, Rag, ResId};
 
@@ -65,9 +62,8 @@ pub struct EngineStats {
     /// from the terminal-column mask scan (words whose columns were all
     /// empty at probe time).
     pub col_words_skipped: u64,
-    /// Reductions served by the dense word-parallel engine (row- or
-    /// column-major). `dense_reductions + sparse_reductions ==
-    /// reductions`.
+    /// Reductions served by the dense word-parallel engine.
+    /// `dense_reductions + sparse_reductions == reductions`.
     pub dense_reductions: u64,
     /// Reductions served by the sparse adjacency-list engine
     /// ([`crate::sparse::SparseState`]).
@@ -153,39 +149,6 @@ pub struct DetectEngine {
     /// `live_col_word_pos[w]` = index of word `w` in `live_col_words`
     /// (`u32::MAX` when absent); O(1) membership via swap-remove.
     live_col_word_pos: Vec<u32>,
-    /// Dense list of the non-empty mirror columns — the transposed
-    /// reduction's row worklist when the column-major path is active.
-    /// Maintained unconditionally (transitions are O(1)) so flipping the
-    /// path on never needs a rescan.
-    live_cols: Vec<u32>,
-    /// `live_col_pos[t]` = index of column `t` in `live_cols`
-    /// (`u32::MAX` when empty).
-    live_col_pos: Vec<u32>,
-    /// Per column-word (rows / 64) count of non-empty rows packed into
-    /// that word — the transposed twin of `word_col_count`, feeding the
-    /// column-word seed of the transposed reduction.
-    word_row_count: Vec<u32>,
-    /// Dense list of column-words with ≥1 non-empty row.
-    live_row_words: Vec<u32>,
-    /// `live_row_word_pos[w]` = index of word `w` in `live_row_words`.
-    live_row_word_pos: Vec<u32>,
-    /// Shared worker pool for the sharded reduction path, if any. One
-    /// pool serves many engines (e.g. every session of a service shard).
-    par_pool: Option<Arc<WorkerPool>>,
-    /// Gates for the parallel and column-major paths.
-    par_cfg: ParConfig,
-    /// `true` when this engine reduces the transposed mirror (tall
-    /// matrices, `m >= colmajor_ratio * n`). Fixed by shape + config, so
-    /// it never flips between probes.
-    colmajor: bool,
-    /// Persistent transposed mirror (`n × m`), kept cell-for-cell in sync
-    /// with `mirror` by the same O(1) delta writes. Only allocated when
-    /// `colmajor` is set.
-    mirror_t: Option<StateMatrix>,
-    /// Working copy of `mirror_t` plus its residue rows and scratch.
-    work_t: Option<StateMatrix>,
-    work_t_residue: Vec<u32>,
-    scratch_t: ReduceScratch,
     /// Gates for the hybrid dense/sparse dispatch.
     sparse_cfg: SparseConfig,
     /// Adjacency-list mirror, kept cell-for-cell in sync with `mirror`
@@ -220,21 +183,7 @@ impl DetectEngine {
     /// Panics if either dimension is zero (same contract as
     /// [`StateMatrix::new`]).
     pub fn new(resources: usize, processes: usize) -> Self {
-        Self::with_parallel(resources, processes, None, ParConfig::default())
-    }
-
-    /// Creates an engine with an explicit [`ParConfig`] and optional
-    /// shared [`WorkerPool`]. With the default config (or no pool and
-    /// `colmajor_ratio == 0`) this is exactly [`DetectEngine::new`].
-    pub fn with_parallel(
-        resources: usize,
-        processes: usize,
-        pool: Option<Arc<WorkerPool>>,
-        cfg: ParConfig,
-    ) -> Self {
         let words = processes.div_ceil(64);
-        let row_words = resources.div_ceil(64);
-        let colmajor = cfg.wants_colmajor(resources, processes);
         let sparse_cfg = SparseConfig::default();
         let sparse = sparse_cfg
             .covers_shape(resources * processes)
@@ -255,18 +204,6 @@ impl DetectEngine {
             word_col_count: vec![0; words],
             live_col_words: Vec::with_capacity(words),
             live_col_word_pos: vec![u32::MAX; words],
-            live_cols: Vec::with_capacity(processes),
-            live_col_pos: vec![u32::MAX; processes],
-            word_row_count: vec![0; row_words],
-            live_row_words: Vec::with_capacity(row_words),
-            live_row_word_pos: vec![u32::MAX; row_words],
-            par_pool: pool,
-            par_cfg: cfg,
-            colmajor,
-            mirror_t: colmajor.then(|| StateMatrix::new(processes, resources)),
-            work_t: colmajor.then(|| StateMatrix::new(processes, resources)),
-            work_t_residue: Vec::new(),
-            scratch_t: ReduceScratch::new(),
             sparse_cfg,
             sparse,
             live_edges: 0,
@@ -277,38 +214,6 @@ impl DetectEngine {
             cache: None,
             stats: EngineStats::default(),
         }
-    }
-
-    /// Replaces the parallel configuration (and pool) in place. The
-    /// column-major decision is re-evaluated for the engine's shape; if
-    /// the transposed mirror becomes live it is built from the current
-    /// mirror, so no resync is needed and no cached result is lost.
-    pub fn set_parallel(&mut self, pool: Option<Arc<WorkerPool>>, cfg: ParConfig) {
-        self.par_pool = pool;
-        self.par_cfg = cfg;
-        let colmajor = cfg.wants_colmajor(self.resources(), self.processes());
-        if colmajor && !self.colmajor {
-            let mut t = StateMatrix::new(self.processes(), self.resources());
-            self.mirror.transpose_into(&mut t);
-            self.mirror_t = Some(t);
-            self.work_t = Some(StateMatrix::new(self.processes(), self.resources()));
-            self.work_t_residue.clear();
-        } else if !colmajor {
-            self.mirror_t = None;
-            self.work_t = None;
-            self.work_t_residue.clear();
-        }
-        self.colmajor = colmajor;
-    }
-
-    /// The active parallel configuration.
-    pub fn par_config(&self) -> ParConfig {
-        self.par_cfg
-    }
-
-    /// `true` when this engine reduces column-major (tall shapes).
-    pub fn is_colmajor(&self) -> bool {
-        self.colmajor
     }
 
     /// Number of resource rows.
@@ -389,7 +294,7 @@ impl DetectEngine {
         *self = DetectEngine {
             stats: self.stats,
             edits: self.edits,
-            ..DetectEngine::with_parallel(resources, processes, self.par_pool.take(), self.par_cfg)
+            ..DetectEngine::new(resources, processes)
         };
         if sparse_cfg != SparseConfig::default() {
             self.set_sparse(sparse_cfg);
@@ -420,30 +325,15 @@ impl DetectEngine {
                 continue;
             }
             self.row_nonempty[s] = nonempty;
-            let w = s / 64;
             if nonempty {
                 self.live_pos[s] = self.live_rows.len() as u32;
                 self.live_rows.push(s as u32);
-                self.word_row_count[w] += 1;
-                if self.word_row_count[w] == 1 {
-                    self.live_row_word_pos[w] = self.live_row_words.len() as u32;
-                    self.live_row_words.push(w as u32);
-                }
             } else {
                 let i = self.live_pos[s] as usize;
                 self.live_pos[s] = u32::MAX;
                 self.live_rows.swap_remove(i);
                 if let Some(&moved) = self.live_rows.get(i) {
                     self.live_pos[moved as usize] = i as u32;
-                }
-                self.word_row_count[w] -= 1;
-                if self.word_row_count[w] == 0 {
-                    let i = self.live_row_word_pos[w] as usize;
-                    self.live_row_word_pos[w] = u32::MAX;
-                    self.live_row_words.swap_remove(i);
-                    if let Some(&moved) = self.live_row_words.get(i) {
-                        self.live_row_word_pos[moved as usize] = i as u32;
-                    }
                 }
             }
         }
@@ -456,17 +346,6 @@ impl DetectEngine {
                 continue;
             }
             self.col_nonempty[t] = nonempty;
-            if nonempty {
-                self.live_col_pos[t] = self.live_cols.len() as u32;
-                self.live_cols.push(t as u32);
-            } else {
-                let i = self.live_col_pos[t] as usize;
-                self.live_col_pos[t] = u32::MAX;
-                self.live_cols.swap_remove(i);
-                if let Some(&moved) = self.live_cols.get(i) {
-                    self.live_col_pos[moved as usize] = i as u32;
-                }
-            }
             let w = t / 64;
             if nonempty {
                 self.word_col_count[w] += 1;
@@ -493,12 +372,10 @@ impl DetectEngine {
         self.version = Version::Local { edits: self.edits };
     }
 
-    /// Writes one cell into the mirror — and, when the column-major path
-    /// is live, the transposed cell into `mirror_t` (same O(1) cost; the
-    /// axes swap, so the id wrappers swap roles too). The live-edge
-    /// count and the sparse adjacency mirror ride the same choke point,
-    /// so every write path (delta sync, DDU cell writes, rebuilds'
-    /// per-edge inserts) keeps them current.
+    /// Writes one cell into the mirror. The live-edge count and the
+    /// sparse adjacency mirror ride the same choke point, so every write
+    /// path (delta sync, DDU cell writes, rebuilds' per-edge inserts)
+    /// keeps them current.
     #[inline]
     fn write_cell(&mut self, q: ResId, p: ProcId, delta: RagDelta) {
         let had = self.mirror.cell(q, p) != Cell::Empty;
@@ -523,14 +400,6 @@ impl DetectEngine {
         }
         if let Some(sp) = self.sparse.as_mut() {
             sp.apply_delta(delta);
-        }
-        if let Some(t) = self.mirror_t.as_mut() {
-            let (tq, tp) = (ResId(p.0), ProcId(q.0));
-            match delta {
-                RagDelta::Request { .. } => t.set_request(tp, tq),
-                RagDelta::Grant { .. } => t.set_grant(tq, tp),
-                RagDelta::Clear { .. } => t.clear(tq, tp),
-            }
         }
         self.mark_dirty(q, p);
     }
@@ -587,9 +456,6 @@ impl DetectEngine {
                 self.mirror.set_request(p, q);
             }
         }
-        if let Some(t) = self.mirror_t.as_mut() {
-            self.mirror.transpose_into(t);
-        }
         if let Some(sp) = self.sparse.as_mut() {
             sp.rebuild_from_rag(rag);
         }
@@ -619,21 +485,12 @@ impl DetectEngine {
         }
         debug_assert_eq!(self.live_edges, self.mirror.edge_count() as u64);
         self.live_rows.clear();
-        self.live_row_words.clear();
-        self.live_row_word_pos.fill(u32::MAX);
-        self.word_row_count.fill(0);
         for s in 0..self.resources() {
             let nonempty = self.row_edges[s] > 0;
             self.row_nonempty[s] = nonempty;
             if nonempty {
                 self.live_pos[s] = self.live_rows.len() as u32;
                 self.live_rows.push(s as u32);
-                let w = s / 64;
-                self.word_row_count[w] += 1;
-                if self.word_row_count[w] == 1 {
-                    self.live_row_word_pos[w] = self.live_row_words.len() as u32;
-                    self.live_row_words.push(w as u32);
-                }
             } else {
                 self.live_pos[s] = u32::MAX;
             }
@@ -641,14 +498,10 @@ impl DetectEngine {
         self.live_col_words.clear();
         self.live_col_word_pos.fill(u32::MAX);
         self.word_col_count.fill(0);
-        self.live_cols.clear();
-        self.live_col_pos.fill(u32::MAX);
         for t in 0..self.processes() {
             let nonempty = self.col_edges[t] > 0;
             self.col_nonempty[t] = nonempty;
             if nonempty {
-                self.live_col_pos[t] = self.live_cols.len() as u32;
-                self.live_cols.push(t as u32);
                 let w = t / 64;
                 self.word_col_count[w] += 1;
                 if self.word_col_count[w] == 1 {
@@ -734,8 +587,7 @@ impl DetectEngine {
         // Hybrid dispatch: above the area gate and below the density
         // gate the adjacency-list engine wins; everything else — always
         // including paper scale — stays on the proven dense engine. The
-        // decision depends only on shape and live-edge count, so it is
-        // identical at every thread count.
+        // decision depends only on shape and live-edge count.
         let area = self.resources() * self.processes();
         let prefers_sparse = self.sparse_cfg.prefers_sparse(area, self.live_edges);
         if let Some(sp) = self.sparse.as_mut().filter(|_| prefers_sparse) {
@@ -756,90 +608,26 @@ impl DetectEngine {
             self.cache = Some((self.version, outcome));
             return outcome;
         }
-        let par = self.par_pool.as_ref().and_then(|pool| {
-            self.par_cfg
-                .area_allows(self.mirror.resources(), self.mirror.processes())
-                .then_some(ParExec {
-                    pool: pool.as_ref(),
-                    threads: self.par_cfg.effective_threads(),
-                    min_live_rows: self.par_cfg.min_live_rows,
-                })
-        });
-        let report = if self.colmajor {
-            // Column-major path for tall shapes: reduce the transposed
-            // mirror. The reduction is self-dual under transposition (see
-            // `reduction::terminal_reduction_with`), so verdict,
-            // `iterations` and `steps` are identical — but each pass
-            // walks `n` short rows instead of `m` tall ones.
-            #[cfg(debug_assertions)]
-            {
-                let mut t = StateMatrix::new(self.processes(), self.resources());
-                self.mirror.transpose_into(&mut t);
-                let maintained = self.mirror_t.as_ref().expect("colmajor without mirror_t");
-                if &t != maintained {
-                    for ti in 0..t.resources() {
-                        for si in 0..t.processes() {
-                            let (q, p) = (crate::ResId(ti as u16), crate::ProcId(si as u16));
-                            if t.cell(q, p) != maintained.cell(q, p) {
-                                panic!(
-                                    "transposed mirror diverged at t-cell ({ti},{si}): \
-                                     expected {:?}, maintained {:?}",
-                                    t.cell(q, p),
-                                    maintained.cell(q, p)
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-            let mirror_t = self.mirror_t.as_ref().expect("colmajor without mirror_t");
-            let work_t = self.work_t.as_mut().expect("colmajor without work_t");
-            for &t in &self.work_t_residue {
-                work_t.clear_row(t as usize);
-            }
-            self.work_t_residue.clear();
-            for &t in &self.live_cols {
-                work_t.copy_row_from(mirror_t, t as usize);
-            }
-            // Seeds transpose along with the matrix: live columns become
-            // the row worklist, live row-words the column-word worklist.
-            let report = reduce_core(
-                work_t,
-                &mut self.scratch_t,
-                Some(&self.live_cols),
-                Some(&self.live_row_words),
-                par.as_ref(),
-            );
-            self.work_t_residue
-                .extend_from_slice(self.scratch_t.residue());
-            let words_t = self.resources().div_ceil(64);
-            self.stats.col_words_skipped +=
-                (words_t - self.live_row_words.len()) as u64 * u64::from(report.steps);
-            report
-        } else {
-            // `work` is all-zero outside the residue rows the previous
-            // reduction left behind; clear those, then image only the live
-            // rows — O(residue + live) row copies, never a full-matrix one.
-            for &s in &self.work_residue {
-                self.work.clear_row(s as usize);
-            }
-            self.work_residue.clear();
-            for &s in &self.live_rows {
-                self.work.copy_row_from(&self.mirror, s as usize);
-            }
-            let report = reduce_core(
-                &mut self.work,
-                &mut self.scratch,
-                Some(&self.live_rows),
-                Some(&self.live_col_words),
-                par.as_ref(),
-            );
-            self.work_residue.extend_from_slice(self.scratch.residue());
-            let words = self.mirror.words_per_row();
-            self.stats.col_words_skipped +=
-                (words - self.live_col_words.len()) as u64 * u64::from(report.steps);
-            report
-        };
+        // `work` is all-zero outside the residue rows the previous
+        // reduction left behind; clear those, then image only the live
+        // rows — O(residue + live) row copies, never a full-matrix one.
+        for &s in &self.work_residue {
+            self.work.clear_row(s as usize);
+        }
+        self.work_residue.clear();
+        for &s in &self.live_rows {
+            self.work.copy_row_from(&self.mirror, s as usize);
+        }
+        let report = reduce_core(
+            &mut self.work,
+            &mut self.scratch,
+            Some(&self.live_rows),
+            Some(&self.live_col_words),
+        );
+        self.work_residue.extend_from_slice(self.scratch.residue());
+        let words = self.mirror.words_per_row();
+        self.stats.col_words_skipped +=
+            (words - self.live_col_words.len()) as u64 * u64::from(report.steps);
         self.stats.dense_reductions += 1;
         self.stats.reductions += 1;
         let outcome: DetectOutcome = report.into();
@@ -997,7 +785,7 @@ mod tests {
     }
 
     #[test]
-    fn direct_edits_mirror_the_ddu_interface() {
+    fn direct_cell_writes_follow_the_ddu_interface() {
         let mut engine = DetectEngine::new(2, 2);
         engine.set_grant(q(0), p(0));
         engine.set_grant(q(1), p(1));

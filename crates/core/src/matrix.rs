@@ -364,49 +364,6 @@ impl StateMatrix {
         }
     }
 
-    /// A raw, shareable view of the row storage for the sharded reduction
-    /// path, where each shard reads and clears a disjoint contiguous range
-    /// of worklist rows. The view borrows the matrix mutably for its whole
-    /// lifetime, so no safe access can race with it; disjointness between
-    /// shards is the caller's obligation (see the `unsafe` methods).
-    #[inline]
-    pub(crate) fn rows_mut(&mut self) -> RowsMut<'_> {
-        RowsMut {
-            r: self.r.as_mut_ptr(),
-            g: self.g.as_mut_ptr(),
-            words: self.words,
-            _borrow: std::marker::PhantomData,
-        }
-    }
-
-    /// Transposes this matrix into `dst`, which must be `n × m` (its rows
-    /// are this matrix's columns). Both bit planes are transposed with a
-    /// 64×64 bit-block kernel; phantom bits beyond either dimension stay
-    /// zero on both sides.
-    ///
-    /// This is the bridge to the column-major reduction variant for tall
-    /// matrices: the terminal reduction is self-dual under transposition
-    /// (see `crate::reduction`), so reducing the transpose yields the
-    /// identical report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst` is not the transposed shape.
-    pub fn transpose_into(&self, dst: &mut StateMatrix) {
-        assert!(
-            dst.m == self.n && dst.n == self.m,
-            "transpose of {}x{} needs a {}x{} destination, got {}x{}",
-            self.m,
-            self.n,
-            self.n,
-            self.m,
-            dst.m,
-            dst.n
-        );
-        transpose_plane(&self.r, self.m, self.n, self.words, &mut dst.r, dst.words);
-        transpose_plane(&self.g, self.m, self.n, self.words, &mut dst.g, dst.words);
-    }
-
     /// Zeroes every cell without reallocating.
     pub fn fill_empty(&mut self) {
         self.r.fill(0);
@@ -465,150 +422,6 @@ impl StateMatrix {
             }
         }
         (rows, cols)
-    }
-}
-
-/// Raw row access for the sharded reduction (see [`StateMatrix::rows_mut`]).
-///
-/// The methods mirror their safe `StateMatrix` counterparts but take
-/// `&self`, so shards can share one view; they are `unsafe` because
-/// nothing stops two shards from touching the same row — the reduction
-/// guarantees disjointness by handing each shard a contiguous,
-/// non-overlapping slice of the active-row worklist.
-pub(crate) struct RowsMut<'a> {
-    r: *mut u64,
-    g: *mut u64,
-    words: usize,
-    _borrow: std::marker::PhantomData<&'a mut StateMatrix>,
-}
-
-// SAFETY: the pointers come from an exclusive borrow held for the view's
-// lifetime, and every access contract requires row-disjoint use across
-// threads.
-unsafe impl Send for RowsMut<'_> {}
-unsafe impl Sync for RowsMut<'_> {}
-
-impl RowsMut<'_> {
-    /// Fused reduction scan of row `s` (see [`StateMatrix::row_scan`]).
-    ///
-    /// # Safety
-    ///
-    /// `s` must be in range and no other thread may be *writing* row `s`.
-    #[inline]
-    pub(crate) unsafe fn row_scan(&self, s: usize, cr: &mut [u64], cg: &mut [u64]) -> (bool, bool) {
-        debug_assert!(cr.len() >= self.words && cg.len() >= self.words);
-        let mut ra = 0u64;
-        let mut ga = 0u64;
-        for w in 0..self.words {
-            let i = s * self.words + w;
-            let r = unsafe { *self.r.add(i) };
-            let g = unsafe { *self.g.add(i) };
-            cr[w] |= r;
-            cg[w] |= g;
-            ra |= r;
-            ga |= g;
-        }
-        (ra != 0, ga != 0)
-    }
-
-    /// Zeroes row `s` in both planes (see [`StateMatrix::clear_row`]).
-    ///
-    /// # Safety
-    ///
-    /// `s` must be in range and no other thread may access row `s`.
-    #[inline]
-    pub(crate) unsafe fn clear_row(&self, s: usize) {
-        for w in 0..self.words {
-            let i = s * self.words + w;
-            unsafe {
-                *self.r.add(i) = 0;
-                *self.g.add(i) = 0;
-            }
-        }
-    }
-
-    /// Clears masked columns in row `s` and reports whether the row still
-    /// carries an edge afterwards — the removal half of a reduction pass
-    /// fused with the survivor check (see
-    /// [`StateMatrix::clear_columns_in_row`] / [`StateMatrix::row_is_empty`]).
-    ///
-    /// # Safety
-    ///
-    /// `s` must be in range and no other thread may access row `s`.
-    #[inline]
-    pub(crate) unsafe fn clear_columns_in_row_nonempty(&self, s: usize, mask: &[u64]) -> bool {
-        debug_assert!(mask.len() >= self.words);
-        let mut live = 0u64;
-        for (w, &mask_w) in mask.iter().enumerate().take(self.words) {
-            let i = s * self.words + w;
-            unsafe {
-                let r = *self.r.add(i) & !mask_w;
-                let g = *self.g.add(i) & !mask_w;
-                *self.r.add(i) = r;
-                *self.g.add(i) = g;
-                live |= r | g;
-            }
-        }
-        live != 0
-    }
-}
-
-/// Transposes one row-major bit plane of an `m × n` matrix (`src_words`
-/// words per row) into the `n × m` destination plane (`dst_words` words
-/// per row) using the classic 64×64 bit-block transpose. Every
-/// destination word is overwritten; phantom source rows/columns enter the
-/// blocks as zero and land as zero.
-fn transpose_plane(
-    src: &[u64],
-    m: usize,
-    n: usize,
-    src_words: usize,
-    dst: &mut [u64],
-    dst_words: usize,
-) {
-    for block_row in 0..m.div_ceil(64) {
-        let base_row = block_row * 64;
-        let rows = (m - base_row).min(64);
-        for w in 0..src_words {
-            let mut block = [0u64; 64];
-            for (i, slot) in block.iter_mut().enumerate().take(rows) {
-                *slot = src[(base_row + i) * src_words + w];
-            }
-            transpose64(&mut block);
-            // Word `w` of the source rows holds columns `w*64 ..`; after
-            // the in-block transpose, lane `j` is source column `w*64+j`
-            // across the 64 source rows — i.e. destination row `w*64+j`,
-            // word `block_row`.
-            let base_col = w * 64;
-            let cols = n.saturating_sub(base_col).min(64);
-            for (j, &lane) in block.iter().enumerate().take(cols) {
-                dst[(base_col + j) * dst_words + block_row] = lane;
-            }
-        }
-    }
-}
-
-/// In-place transpose of a 64×64 bit matrix stored one row per word, bit
-/// `t` of word `s` holding cell `(s, t)` (Hacker's Delight §7-3,
-/// generalized to 64 bits).
-///
-/// Cells here are LSB-first (bit 0 = column 0), so each masked-swap round
-/// exchanges the *high* `j`-bit blocks of rows `k` with the *low* blocks
-/// of rows `k + j` — the mirror image of the book's MSB-first code, which
-/// would transpose about the anti-diagonal in this bit order.
-fn transpose64(a: &mut [u64; 64]) {
-    let mut j = 32usize;
-    let mut mask = 0x0000_0000_FFFF_FFFFu64;
-    while j != 0 {
-        let mut k = 0usize;
-        while k < 64 {
-            let t = ((a[k] >> j) ^ a[k + j]) & mask;
-            a[k] ^= t << j;
-            a[k + j] ^= t;
-            k = (k + j + 1) & !j;
-        }
-        j >>= 1;
-        mask ^= mask << j;
     }
 }
 
@@ -843,49 +656,6 @@ mod tests {
     fn out_of_range_cell_panics() {
         let m = StateMatrix::new(2, 2);
         m.cell(ResId(5), ProcId(0));
-    }
-
-    #[test]
-    fn transpose_matches_cell_by_cell() {
-        // Dimensions straddle word boundaries on both axes.
-        for (m, n) in [(3usize, 3usize), (2, 100), (70, 5), (130, 70)] {
-            let mut a = StateMatrix::new(m, n);
-            // Deterministic scatter of grants/requests.
-            let mut x = 0x9E3779B97F4A7C15u64;
-            for s in 0..m {
-                for t in 0..n {
-                    x = x
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    match x >> 62 {
-                        0 => a.set_request(ProcId(t as u16), ResId(s as u16)),
-                        1 => a.set_grant(ResId(s as u16), ProcId(t as u16)),
-                        _ => {}
-                    }
-                }
-            }
-            let mut t_mat = StateMatrix::new(n, m);
-            a.transpose_into(&mut t_mat);
-            for s in 0..m {
-                for t in 0..n {
-                    let orig = a.cell(ResId(s as u16), ProcId(t as u16));
-                    let flip = t_mat.cell(ResId(t as u16), ProcId(s as u16));
-                    assert_eq!(flip, orig, "({s},{t}) in {m}x{n}");
-                }
-            }
-            // Transposing back is the identity.
-            let mut back = StateMatrix::new(m, n);
-            t_mat.transpose_into(&mut back);
-            assert_eq!(back, a, "double transpose of {m}x{n}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "transpose")]
-    fn transpose_rejects_wrong_shape() {
-        let a = StateMatrix::new(3, 5);
-        let mut bad = StateMatrix::new(3, 5);
-        a.transpose_into(&mut bad);
     }
 
     #[test]

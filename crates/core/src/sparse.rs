@@ -48,9 +48,8 @@ use crate::{Rag, RagDelta, ResId};
 /// [`crate::engine::DetectEngine`].
 ///
 /// Both gates are functions of matrix shape and live-edge count alone —
-/// never of thread counts or timing — so which engine serves a probe is
-/// a deterministic property of the input, and stats stay bit-identical
-/// across thread counts.
+/// never of timing — so which engine serves a probe is a deterministic
+/// property of the input, and stats are bit-identical run to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SparseConfig {
     /// Minimum matrix area (`m * n`) before the sparse path is

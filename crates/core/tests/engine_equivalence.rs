@@ -36,13 +36,18 @@ impl Lcg {
     }
 }
 
-/// Applies one random RAG edit. Invalid operations (duplicate request,
-/// busy resource, …) are simply ignored — exactly how an adversarial
-/// caller exercises the epoch/journal bookkeeping, since failed
-/// mutations must not advance the epoch.
+/// Applies one random RAG edit anywhere in the graph.
 fn random_edit(rag: &mut Rag, rng: &mut Lcg) {
     let p = ProcId(rng.below(rag.processes() as u64) as u16);
     let q = ResId(rng.below(rag.resources() as u64) as u16);
+    edit_cell(rag, rng, p, q);
+}
+
+/// Applies one random edit to cell `(q, p)`. Invalid operations
+/// (duplicate request, busy resource, …) are simply ignored — exactly
+/// how an adversarial caller exercises the epoch/journal bookkeeping,
+/// since failed mutations must not advance the epoch.
+fn edit_cell(rag: &mut Rag, rng: &mut Lcg, p: ProcId, q: ResId) {
     match rng.below(4) {
         0 => {
             let _ = rag.add_request(p, q);
@@ -141,20 +146,7 @@ fn wide_matrices_exercise_the_column_word_worklist() {
         for op in 0..ops {
             let p = ProcId((base + rng.below(span)) as u16);
             let q = ResId(rng.below(m as u64) as u16);
-            match rng.below(4) {
-                0 => {
-                    let _ = rag.add_request(p, q);
-                }
-                1 => {
-                    let _ = rag.add_grant(q, p);
-                }
-                2 => {
-                    let _ = rag.remove_request(p, q);
-                }
-                _ => {
-                    let _ = rag.remove_grant(q, p);
-                }
-            }
+            edit_cell(&mut rag, &mut rng, p, q);
             if rng.below(3) != 0 {
                 assert_agrees(&mut engine, &rag, seq, op);
             }
@@ -182,6 +174,61 @@ fn wide_matrices_exercise_the_column_word_worklist() {
             }
         }
         assert_agrees(&mut engine, &rag, seq, 40);
+    }
+}
+
+/// Tall and wide shapes on both sides of the aspect (`m ≥ 8n`) and area
+/// (`m·n ≥ 256²`) bounds an earlier column-major variant used, plus
+/// their transposes. Edits cluster in a 96×96 window three times in
+/// four, so cycles — and multi-pass reductions — actually form.
+const TALL_AND_WIDE: &[(usize, usize)] = &[
+    (512, 64),
+    (768, 128),
+    (1024, 128),
+    (2048, 64),
+    (4096, 64),
+    (64, 512),
+    (128, 768),
+    (128, 1024),
+    (64, 2048),
+    (64, 4096),
+];
+
+#[test]
+fn tall_and_wide_shapes_match_the_cold_path() {
+    for (shape, &(m, n)) in TALL_AND_WIDE.iter().enumerate() {
+        for seed in 0..3u64 {
+            let seq = (shape as u64) << 8 | seed;
+            let mut rng = Lcg::new(0x7A11 ^ seq);
+            let mut rag = Rag::new(m, n);
+            let mut engine = DetectEngine::new(m, n);
+            let (rows, cols) = (m.min(96) as u64, n.min(96) as u64);
+            let row0 = rng.below(m as u64 - rows + 1);
+            let col0 = rng.below(n as u64 - cols + 1);
+            let mut max_iterations = 0;
+            for op in 0..240 {
+                let (q, p) = if rng.below(4) == 0 {
+                    (rng.below(m as u64), rng.below(n as u64))
+                } else {
+                    (row0 + rng.below(rows), col0 + rng.below(cols))
+                };
+                edit_cell(&mut rag, &mut rng, ProcId(p as u16), ResId(q as u16));
+                if rng.below(3) == 0 {
+                    let fast = engine.probe(&rag);
+                    assert_eq!(
+                        fast,
+                        pdda::detect_cold(&rag),
+                        "{m}x{n} seed {seed}, op {op}"
+                    );
+                    max_iterations = max_iterations.max(fast.iterations);
+                }
+            }
+            assert_agrees(&mut engine, &rag, seq, 240);
+            assert!(
+                max_iterations > 1,
+                "{m}x{n} seed {seed}: the stream never forced a multi-pass reduction"
+            );
+        }
     }
 }
 

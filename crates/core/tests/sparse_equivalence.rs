@@ -3,21 +3,16 @@
 //! The hybrid dispatcher's contract is that the sparse adjacency-list
 //! engine is **bit-identical** to the dense matrix engine: same
 //! [`DetectOutcome`] (verdict, `iterations`, `steps`) on every input,
-//! and deterministic stats at every thread count. These tests drive the
-//! *same* LCG-generated edge-delta streams — including deletions,
-//! probe-only stretches and streams that oscillate across the hybrid
-//! density threshold — through forced-dense, forced-sparse and hybrid
-//! engines, checking every probe against [`pdda::detect_cold`].
-//!
-//! `DELTAOS_TEST_THREADS=k` pins the sweep to one thread count (the CI
-//! matrix runs k ∈ {1, 2, 8}); unset, all of 1–8 are tested.
+//! and deterministic stats. These tests drive the *same* LCG-generated
+//! edge-delta streams — including deletions, probe-only stretches and
+//! streams that oscillate across the hybrid density threshold — through
+//! forced-dense, forced-sparse and hybrid engines, checking every probe
+//! against [`pdda::detect_cold`].
 
 use deltaos_core::engine::{DetectEngine, EngineStats};
-use deltaos_core::par::{ParConfig, WorkerPool};
 use deltaos_core::pdda::DetectOutcome;
 use deltaos_core::sparse::SparseConfig;
 use deltaos_core::{pdda, ProcId, Rag, ResId};
-use std::sync::Arc;
 
 struct Lcg(u64);
 
@@ -36,28 +31,6 @@ impl Lcg {
 
     fn below(&mut self, bound: u64) -> u64 {
         (self.next() >> 16) % bound
-    }
-}
-
-fn thread_counts() -> Vec<usize> {
-    match std::env::var("DELTAOS_TEST_THREADS") {
-        Ok(v) => vec![v
-            .parse()
-            .expect("DELTAOS_TEST_THREADS must be a thread count")],
-        Err(_) => (1..=8).collect(),
-    }
-}
-
-/// Parallel gates forced open so the dense engine actually shards at
-/// test sizes — the sparse path must match the *sharded* dense path too.
-fn forced_par(threads: usize) -> ParConfig {
-    ParConfig {
-        threads,
-        min_live_rows: 1,
-        min_area: 1,
-        colmajor_ratio: 0,
-        colmajor_min_area: 1,
-        cap_to_host: false,
     }
 }
 
@@ -100,38 +73,34 @@ fn path_independent(s: EngineStats) -> (u64, u64, u64, u64, u64, u64, u64, u64) 
 
 #[test]
 fn identical_streams_through_dense_and_sparse_are_bit_identical() {
-    for t in thread_counts() {
-        let pool = Arc::new(WorkerPool::new(t));
-        for seq in 0..4u64 {
-            let mut dense =
-                DetectEngine::with_parallel(256, 256, Some(pool.clone()), forced_par(t));
-            dense.set_sparse(SparseConfig::disabled());
-            let mut sparse = DetectEngine::with_parallel(256, 256, None, ParConfig::default());
-            sparse.set_sparse(SparseConfig::always());
-            let mut rag = Rag::new(256, 256);
-            let mut rng = Lcg::new(0x5BA12E ^ (seq << 8) ^ t as u64);
-            for op in 0..400 {
-                random_op(&mut rng, &mut rag, 256, 256);
-                if rng.below(6) == 0 {
-                    let d = dense.probe(&rag);
-                    let s = sparse.probe(&rag);
-                    let cold = pdda::detect_cold(&rag);
-                    assert_eq!(d, s, "t={t} seq={seq} op={op}: dense vs sparse");
-                    assert_eq!(s, cold, "t={t} seq={seq} op={op}: sparse vs cold");
-                }
+    for seq in 0..4u64 {
+        let mut dense = DetectEngine::new(256, 256);
+        dense.set_sparse(SparseConfig::disabled());
+        let mut sparse = DetectEngine::new(256, 256);
+        sparse.set_sparse(SparseConfig::always());
+        let mut rag = Rag::new(256, 256);
+        let mut rng = Lcg::new(0x5BA12F ^ (seq << 8));
+        for op in 0..400 {
+            random_op(&mut rng, &mut rag, 256, 256);
+            if rng.below(6) == 0 {
+                let d = dense.probe(&rag);
+                let s = sparse.probe(&rag);
+                let cold = pdda::detect_cold(&rag);
+                assert_eq!(d, s, "seq={seq} op={op}: dense vs sparse");
+                assert_eq!(s, cold, "seq={seq} op={op}: sparse vs cold");
             }
-            assert_eq!(dense.probe(&rag), sparse.probe(&rag));
-            let (ds, ss) = (dense.stats(), sparse.stats());
-            assert_eq!(
-                path_independent(ds),
-                path_independent(ss),
-                "t={t} seq={seq}: path-independent stats diverged"
-            );
-            assert_eq!(ds.sparse_reductions, 0, "forced-dense must never go sparse");
-            assert_eq!(ds.dense_reductions, ds.reductions);
-            assert_eq!(ss.dense_reductions, 0, "forced-sparse must never go dense");
-            assert_eq!(ss.sparse_reductions, ss.reductions);
         }
+        assert_eq!(dense.probe(&rag), sparse.probe(&rag));
+        let (ds, ss) = (dense.stats(), sparse.stats());
+        assert_eq!(
+            path_independent(ds),
+            path_independent(ss),
+            "seq={seq}: path-independent stats diverged"
+        );
+        assert_eq!(ds.sparse_reductions, 0, "forced-dense must never go sparse");
+        assert_eq!(ds.dense_reductions, ds.reductions);
+        assert_eq!(ss.dense_reductions, 0, "forced-sparse must never go dense");
+        assert_eq!(ss.sparse_reductions, ss.reductions);
     }
 }
 
@@ -164,69 +133,65 @@ fn streams_oscillating_across_the_threshold_match_cold() {
         min_area: 1,
         max_density_permille: 24,
     };
-    for t in thread_counts() {
-        let pool = Arc::new(WorkerPool::new(t));
-        let mut hybrid = DetectEngine::with_parallel(64, 64, Some(pool), forced_par(t));
-        hybrid.set_sparse(cfg);
-        let mut rag = Rag::new(64, 64);
-        let mut rng = Lcg::new(0x05C111A7E ^ t as u64);
-        for cycle in 0..3 {
-            // Pump up: adds dominate, edge count climbs past ~150.
-            for op in 0..260 {
-                let p = ProcId(rng.below(64) as u16);
-                let q = ResId(rng.below(64) as u16);
-                if rng.below(8) == 0 {
-                    let _ = rag.remove_grant(q, p);
-                } else if rng.below(2) == 0 {
-                    let _ = rag.add_request(p, q);
-                } else {
-                    let _ = rag.add_grant(q, p);
-                }
-                if rng.below(5) == 0 {
-                    let got = hybrid.probe(&rag);
-                    let cold = pdda::detect_cold(&rag);
-                    assert_eq!(got, cold, "t={t} cycle={cycle} up op={op}");
-                }
+    let mut hybrid = DetectEngine::new(64, 64);
+    hybrid.set_sparse(cfg);
+    let mut rag = Rag::new(64, 64);
+    let mut rng = Lcg::new(0x05C111A7F);
+    for cycle in 0..3 {
+        // Pump up: adds dominate, edge count climbs past ~150.
+        for op in 0..260 {
+            let p = ProcId(rng.below(64) as u16);
+            let q = ResId(rng.below(64) as u16);
+            if rng.below(8) == 0 {
+                let _ = rag.remove_grant(q, p);
+            } else if rng.below(2) == 0 {
+                let _ = rag.add_request(p, q);
+            } else {
+                let _ = rag.add_grant(q, p);
             }
-            // Drain down: removals dominate, edge count falls back.
-            for op in 0..260 {
-                let p = ProcId(rng.below(64) as u16);
-                let q = ResId(rng.below(64) as u16);
-                if rng.below(8) == 0 {
-                    let _ = rag.add_request(p, q);
-                } else if rng.below(2) == 0 {
-                    let _ = rag.remove_request(p, q);
-                } else {
-                    let _ = rag.remove_grant(q, p);
-                }
-                if rng.below(5) == 0 {
-                    let got = hybrid.probe(&rag);
-                    let cold = pdda::detect_cold(&rag);
-                    assert_eq!(got, cold, "t={t} cycle={cycle} down op={op}");
-                }
+            if rng.below(5) == 0 {
+                let got = hybrid.probe(&rag);
+                let cold = pdda::detect_cold(&rag);
+                assert_eq!(got, cold, "cycle={cycle} up op={op}");
             }
         }
-        let s = hybrid.stats();
-        assert!(
-            s.dense_reductions > 0 && s.sparse_reductions > 0,
-            "t={t}: stream must cross the threshold both ways \
-             (dense={}, sparse={})",
-            s.dense_reductions,
-            s.sparse_reductions
-        );
-        assert_eq!(s.dense_reductions + s.sparse_reductions, s.reductions);
+        // Drain down: removals dominate, edge count falls back.
+        for op in 0..260 {
+            let p = ProcId(rng.below(64) as u16);
+            let q = ResId(rng.below(64) as u16);
+            if rng.below(8) == 0 {
+                let _ = rag.add_request(p, q);
+            } else if rng.below(2) == 0 {
+                let _ = rag.remove_request(p, q);
+            } else {
+                let _ = rag.remove_grant(q, p);
+            }
+            if rng.below(5) == 0 {
+                let got = hybrid.probe(&rag);
+                let cold = pdda::detect_cold(&rag);
+                assert_eq!(got, cold, "cycle={cycle} down op={op}");
+            }
+        }
     }
+    let s = hybrid.stats();
+    assert!(
+        s.dense_reductions > 0 && s.sparse_reductions > 0,
+        "stream must cross the threshold both ways \
+         (dense={}, sparse={})",
+        s.dense_reductions,
+        s.sparse_reductions
+    );
+    assert_eq!(s.dense_reductions + s.sparse_reductions, s.reductions);
 }
 
 #[test]
-fn hybrid_stats_are_identical_across_thread_counts() {
+fn hybrid_stats_are_deterministic() {
     // The dispatch decision depends only on shape and live-edge count,
     // so the same script must yield identical outcomes AND identical
-    // EngineStats — including the dense/sparse path split — at every
-    // thread count.
-    let script = |t: usize| -> (Vec<DetectOutcome>, EngineStats) {
-        let pool = Arc::new(WorkerPool::new(t));
-        let mut engine = DetectEngine::with_parallel(128, 128, Some(pool), forced_par(t));
+    // EngineStats — including the dense/sparse path split — on every
+    // run, and every outcome must match the cold path.
+    let script = || -> (Vec<DetectOutcome>, EngineStats) {
+        let mut engine = DetectEngine::new(128, 128);
         engine.set_sparse(SparseConfig {
             min_area: 1,
             max_density_permille: 12,
@@ -237,19 +202,19 @@ fn hybrid_stats_are_identical_across_thread_counts() {
         for _ in 0..500 {
             random_op(&mut rng, &mut rag, 128, 128);
             if rng.below(4) == 0 {
-                outcomes.push(engine.probe(&rag));
+                let got = engine.probe(&rag);
+                assert_eq!(got, pdda::detect_cold(&rag));
+                outcomes.push(got);
             }
         }
         (outcomes, engine.stats())
     };
-    let (base_outcomes, base_stats) = script(1);
+    let (base_outcomes, base_stats) = script();
     assert!(!base_outcomes.is_empty());
     assert!(base_stats.reductions > 0);
-    for t in thread_counts() {
-        let (outcomes, stats) = script(t);
-        assert_eq!(outcomes, base_outcomes, "t={t}: outcomes diverged");
-        assert_eq!(stats, base_stats, "t={t}: EngineStats diverged");
-    }
+    let (outcomes, stats) = script();
+    assert_eq!(outcomes, base_outcomes, "outcomes diverged");
+    assert_eq!(stats, base_stats, "EngineStats diverged");
 }
 
 #[test]

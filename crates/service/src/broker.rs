@@ -17,12 +17,10 @@
 //! naming a process that can unblock it, and grant arbitration is
 //! priority-directed (smaller level = higher priority).
 
-use std::sync::Arc;
-
 use deltaos_core::avoid::{Avoider, EngineProbe, ReleaseOutcome, RequestOutcome};
 use deltaos_core::daa::SwDaa;
 use deltaos_core::engine::EngineStats;
-use deltaos_core::par::{ParConfig, WorkerPool};
+use deltaos_core::par::ParConfig;
 use deltaos_core::{Priority, ProcId, Rag, ResId};
 use deltaos_store::{BrokerSnapshot, SessionSnapshot, StoreError};
 
@@ -62,25 +60,24 @@ pub struct Broker {
 impl Broker {
     /// Creates a broker for a `resources` × `processes` session.
     /// `metered` picks the software-DAA engine; otherwise the fast path
-    /// shares the owning loop's reduction pool like any detect engine.
+    /// runs its own detect engine.
+    ///
+    /// The last two parameters are inert: they keep the five-parameter
+    /// signature that the wire benchmark in `wirebench/` calls. Pass
+    /// `None` and `ParConfig`.
     pub fn new(
         resources: u16,
         processes: u16,
         metered: bool,
-        pool: Option<Arc<WorkerPool>>,
-        cfg: ParConfig,
+        _pool: Option<std::convert::Infallible>,
+        _par: ParConfig,
     ) -> Self {
         let engine = if metered {
             Engine::Metered(SwDaa::new(resources as usize, processes as usize))
         } else {
             Engine::Fast {
                 avoider: Avoider::new(resources as usize, processes as usize),
-                probe: Box::new(EngineProbe::with_parallel(
-                    resources as usize,
-                    processes as usize,
-                    pool,
-                    cfg,
-                )),
+                probe: Box::new(EngineProbe::new(resources as usize, processes as usize)),
             }
         };
         Broker {
@@ -364,11 +361,7 @@ impl Broker {
     /// [`StoreError::Invalid`] when the snapshot has no broker section,
     /// its edges violate RAG invariants, or its broker fields are out of
     /// range for the session's dimensions.
-    pub fn restore_from(
-        snap: &SessionSnapshot,
-        pool: Option<Arc<WorkerPool>>,
-        cfg: ParConfig,
-    ) -> Result<Self, StoreError> {
+    pub fn restore_from(snap: &SessionSnapshot) -> Result<Self, StoreError> {
         let b = snap.broker.as_ref().ok_or(StoreError::Invalid {
             what: "snapshot without broker section",
         })?;
@@ -409,7 +402,7 @@ impl Broker {
         let engine = if b.metered {
             Engine::Metered(SwDaa::from_parts(avoider, b.total_cycles, b.commands))
         } else {
-            let mut probe = Box::new(EngineProbe::with_parallel(resources, processes, pool, cfg));
+            let mut probe = Box::new(EngineProbe::new(resources, processes));
             // No cached outcome is persisted for brokers: the avoider's
             // tentative-edit probes always run against a just-mutated
             // RAG, so a capture-time cache entry could never be valid
@@ -450,7 +443,7 @@ mod tests {
     }
 
     fn prioritized(metered: bool) -> Broker {
-        let mut b = Broker::new(4, 4, metered, None, ParConfig::default());
+        let mut b = Broker::new(4, 4, metered, None, ParConfig);
         for i in 0..4 {
             b.set_priority(p(i), Priority::new(i as u8 + 1));
         }
@@ -574,8 +567,8 @@ mod tests {
             b.acquire(p(1), q(0));
             b.acquire(p(0), q(1)); // parks + asks
             let snap = b.snapshot(9);
-            let mut restored = Broker::restore_from(&snap, None, ParConfig::default()).unwrap();
-            let mut replayed = Broker::restore_from(&snap, None, ParConfig::default()).unwrap();
+            let mut restored = Broker::restore_from(&snap).unwrap();
+            let mut replayed = Broker::restore_from(&snap).unwrap();
             // Every command settles the probe mirror, so the restored
             // copy re-encodes to exactly the live snapshot.
             let resnap = restored.snapshot(9);
@@ -583,12 +576,7 @@ mod tests {
             assert_eq!(resnap.broker, snap.broker);
             assert_eq!(resnap.grants, snap.grants);
             assert_eq!(resnap.requests, snap.requests);
-            assert_eq!(
-                Broker::restore_from(&resnap, None, ParConfig::default())
-                    .unwrap()
-                    .snapshot(9),
-                resnap
-            );
+            assert_eq!(Broker::restore_from(&resnap).unwrap().snapshot(9), resnap);
             assert_eq!(restored.counters(), b.counters());
             assert_eq!(restored.waiter_depth(), b.waiter_depth());
             // The next command decides identically on the live broker

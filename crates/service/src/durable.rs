@@ -24,9 +24,8 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::Arc;
 
-use deltaos_core::par::{ParConfig, WorkerPool};
+use deltaos_core::par::ParConfig;
 use deltaos_store::wal::WalEvent;
 use deltaos_store::{
     BrokerWalOp, FsyncPolicy, SessionSnapshot, ShardCheckpoint, ShardCounters, ShardStore, WalOp,
@@ -67,13 +66,17 @@ pub struct DurabilityConfig {
 }
 
 impl DurabilityConfig {
-    /// Durability rooted at `dir` with the balanced defaults: group
-    /// commit every 32 commits, checkpoint every 4096 records, final
+    /// Durability rooted at `dir` with the balanced defaults: pipelined
+    /// group commit (flush at 32 unsynced records or 500 µs, replies
+    /// withheld until durable), checkpoint every 4096 records, final
     /// checkpoint on shutdown, no follower-ack gating.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
             dir: dir.into(),
-            fsync: FsyncPolicy::EveryN(32),
+            fsync: FsyncPolicy::Pipelined {
+                max_records: 32,
+                deadline: std::time::Duration::from_micros(500),
+            },
             checkpoint_every_records: 4096,
             checkpoint_on_shutdown: true,
             repl_ack: false,
@@ -230,15 +233,6 @@ pub(crate) struct RecoveredShard {
     pub wal_tail: Vec<(u64, u64, Vec<u8>)>,
 }
 
-/// Engine-construction context threaded through WAL apply: the shard's
-/// shared reduction pool and its parallelism gate, which travel
-/// together into every `Session`/`Broker` (re)construction.
-#[derive(Clone, Copy)]
-pub(crate) struct EngineCtx<'a> {
-    pub pool: &'a Option<Arc<WorkerPool>>,
-    pub par: ParConfig,
-}
-
 /// Applies one WAL op to a shard's session/broker tables — the single
 /// ingestion path shared by crash recovery ([`open_shard`]) and live
 /// replica apply ([`crate::shard::ShardCore`]), which is why a follower
@@ -256,19 +250,14 @@ pub(crate) fn apply_wal_op(
     brokers: &mut HashMap<u64, Broker>,
     counters: &mut ShardCounters,
     next_session: &mut u64,
-    engine: EngineCtx<'_>,
 ) {
-    let EngineCtx { pool, par } = engine;
     match op {
         WalOp::Open {
             session,
             resources,
             processes,
         } => {
-            sessions.insert(
-                *session,
-                Session::with_parallel(*resources, *processes, pool.clone(), par),
-            );
+            sessions.insert(*session, Session::new(*resources, *processes));
             counters.sessions_opened += 1;
             *next_session = (*next_session).max(*session + 1);
         }
@@ -310,11 +299,11 @@ pub(crate) fn apply_wal_op(
         }
         WalOp::Restore { snapshot } => {
             if snapshot.broker.is_some() {
-                let b = Broker::restore_from(snapshot, pool.clone(), par)
+                let b = Broker::restore_from(snapshot)
                     .unwrap_or_else(|e| panic!("shard {shard}: WAL broker restore: {e}"));
                 brokers.insert(snapshot.session, b);
             } else {
-                let sess = Session::restore_from(snapshot, pool.clone(), par)
+                let sess = Session::restore_from(snapshot)
                     .unwrap_or_else(|e| panic!("shard {shard}: WAL session restore: {e}"));
                 sessions.insert(snapshot.session, sess);
             }
@@ -336,7 +325,7 @@ pub(crate) fn apply_wal_op(
             } => {
                 brokers.insert(
                     *session,
-                    Broker::new(*resources, *processes, *metered, pool.clone(), par),
+                    Broker::new(*resources, *processes, *metered, None, ParConfig),
                 );
                 counters.sessions_opened += 1;
                 *next_session = (*next_session).max(*session + 1);
@@ -373,12 +362,7 @@ pub(crate) fn apply_wal_op(
 ///
 /// Panics on storage failure or a corrupt (CRC-valid but semantically
 /// invalid) checkpoint — both are fail-stop conditions for a WAL.
-pub(crate) fn open_shard(
-    cfg: &DurabilityConfig,
-    shard: usize,
-    pool: Option<Arc<WorkerPool>>,
-    par: ParConfig,
-) -> RecoveredShard {
+pub(crate) fn open_shard(cfg: &DurabilityConfig, shard: usize) -> RecoveredShard {
     let (store, recovery) = ShardStore::open(&cfg.dir, shard as u32, cfg.fsync)
         .unwrap_or_else(|e| panic!("shard {shard}: store open failed: {e}"));
     let mut sessions: HashMap<u64, Session> = HashMap::new();
@@ -392,11 +376,11 @@ pub(crate) fn open_shard(
         checkpoint_sessions = ckpt.sessions.len() as u64;
         for snap in &ckpt.sessions {
             if snap.broker.is_some() {
-                let b = Broker::restore_from(snap, pool.clone(), par)
+                let b = Broker::restore_from(snap)
                     .unwrap_or_else(|e| panic!("shard {shard}: checkpoint broker restore: {e}"));
                 brokers.insert(snap.session, b);
             } else {
-                let sess = Session::restore_from(snap, pool.clone(), par)
+                let sess = Session::restore_from(snap)
                     .unwrap_or_else(|e| panic!("shard {shard}: checkpoint session restore: {e}"));
                 sessions.insert(snap.session, sess);
             }
@@ -412,7 +396,6 @@ pub(crate) fn open_shard(
             &mut brokers,
             &mut counters,
             &mut next_session,
-            EngineCtx { pool: &pool, par },
         );
         let mut bytes = Vec::new();
         op.encode_into(&mut bytes);

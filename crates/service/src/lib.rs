@@ -65,7 +65,6 @@ pub mod tcp;
 
 pub use broker::{Broker, BrokerCounters};
 pub use core_runtime::{Client, CoreConfig, CoreRuntime};
-pub use deltaos_core::par::{ParConfig, WorkerPool};
 pub use deltaos_store::FsyncPolicy;
 pub use durable::{DurabilityConfig, RecoveryInfo};
 pub use proto::{

@@ -9,10 +9,9 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::Arc;
 use std::time::Duration;
 
-use deltaos_core::par::{ParConfig, WorkerPool};
+use deltaos_core::par::ParConfig;
 use deltaos_core::{Priority, ProcId, ResId};
 use deltaos_sim::{Histogram, Stats};
 use deltaos_store::{BrokerWalOp, SessionSnapshot, WalOp};
@@ -295,8 +294,6 @@ pub(crate) struct ShardCore {
     shard_id: usize,
     max_sessions: usize,
     max_dim: u16,
-    par: ParConfig,
-    pool: Option<Arc<WorkerPool>>,
     sessions: HashMap<u64, Session>,
     brokers: HashMap<u64, Broker>,
     /// Blocked Acquire reply slots per broker session. Reconstructed
@@ -326,8 +323,6 @@ impl ShardCore {
         shard_id: usize,
         max_sessions: usize,
         max_dim: u16,
-        par: ParConfig,
-        pool: Option<Arc<WorkerPool>>,
         durability: Option<&DurabilityConfig>,
         replica: bool,
     ) -> ShardCore {
@@ -336,8 +331,6 @@ impl ShardCore {
                 shard_id,
                 max_sessions,
                 max_dim,
-                par,
-                pool,
                 sessions: HashMap::new(),
                 brokers: HashMap::new(),
                 waiters: HashMap::new(),
@@ -349,7 +342,7 @@ impl ShardCore {
                 repl: ReplState::new(!replica, false),
             },
             Some(d) => {
-                let recovered = durable::open_shard(d, shard_id, pool.clone(), par);
+                let recovered = durable::open_shard(d, shard_id);
                 let mut persist = recovered.persist;
                 persist.info.next_session = recovered.next_session;
                 let mut repl = ReplState::new(!replica, d.repl_ack);
@@ -362,8 +355,6 @@ impl ShardCore {
                     shard_id,
                     max_sessions,
                     max_dim,
-                    par,
-                    pool,
                     sessions: recovered.sessions,
                     brokers: recovered.brokers,
                     waiters: HashMap::new(),
@@ -480,10 +471,8 @@ impl ShardCore {
                 self.withhold_lsn = Some(lsn);
             }
         }
-        self.sessions.insert(
-            session.0,
-            Session::with_parallel(resources, processes, self.pool.clone(), self.par),
-        );
+        self.sessions
+            .insert(session.0, Session::new(resources, processes));
         self.counters.sessions_opened += 1;
         self.next_session = self.next_session.max(session.0 + 1);
         Ok(session)
@@ -528,7 +517,7 @@ impl ShardCore {
         }
         self.brokers.insert(
             session.0,
-            Broker::new(resources, processes, metered, self.pool.clone(), self.par),
+            Broker::new(resources, processes, metered, None, ParConfig),
         );
         self.counters.sessions_opened += 1;
         self.next_session = self.next_session.max(session.0 + 1);
@@ -692,8 +681,7 @@ impl ShardCore {
         // whatever id it had in its previous life.
         snap.session = session.0;
         if snap.broker.is_some() {
-            let b = Broker::restore_from(&snap, self.pool.clone(), self.par)
-                .map_err(|_| ServiceError::InvalidSnapshot)?;
+            let b = Broker::restore_from(&snap).map_err(|_| ServiceError::InvalidSnapshot)?;
             if let Some(p) = self.persist.as_mut() {
                 let (lsn, withhold) = Self::log_mirrored(
                     p,
@@ -708,8 +696,7 @@ impl ShardCore {
             }
             self.brokers.insert(session.0, b);
         } else {
-            let sess = Session::restore_from(&snap, self.pool.clone(), self.par)
-                .map_err(|_| ServiceError::InvalidSnapshot)?;
+            let sess = Session::restore_from(&snap).map_err(|_| ServiceError::InvalidSnapshot)?;
             if let Some(p) = self.persist.as_mut() {
                 let (lsn, withhold) = Self::log_mirrored(
                     p,
@@ -1029,8 +1016,6 @@ impl ShardCore {
                 brokers,
                 counters,
                 next_session,
-                pool,
-                par,
                 repl,
                 ..
             } = self;
@@ -1042,7 +1027,6 @@ impl ShardCore {
                 brokers,
                 &mut store_counters,
                 next_session,
-                durable::EngineCtx { pool, par: *par },
             );
             *counters = WorkerCounters::from_store(store_counters);
             repl.epoch = *epoch;
@@ -1201,8 +1185,7 @@ impl ShardCore {
     }
 
     /// Shutdown durability: final checkpoint, or at least a WAL sync —
-    /// under `EveryN`/`Os` nothing acknowledged may be lost to a clean
-    /// stop.
+    /// under `Os` nothing acknowledged may be lost to a clean stop.
     pub(crate) fn finish(&mut self) {
         if self.persist.is_none() {
             return;

@@ -13,6 +13,7 @@
 use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 use deltaos_core::par::ParConfig;
 use deltaos_core::{Priority, ProcId, ResId};
@@ -71,6 +72,15 @@ fn config(dir: &Path, fsync: FsyncPolicy, checkpoint_every: u64) -> CoreConfig {
             repl_ack: false,
         }),
         ..CoreConfig::default()
+    }
+}
+
+/// Pipelined group commit flushing every `max_records` records: each
+/// reply waits for its flush, so every acknowledged op is durable.
+fn pipelined(max_records: u32) -> FsyncPolicy {
+    FsyncPolicy::Pipelined {
+        max_records,
+        deadline: Duration::from_micros(500),
     }
 }
 
@@ -253,10 +263,10 @@ fn replay_reference(dir: &Path, wal_bytes: &[Vec<u8>]) -> Vec<RefShard> {
                 floor = c.last_seq;
                 for snap in &c.sessions {
                     if snap.broker.is_some() {
-                        let b = Broker::restore_from(snap, None, ParConfig::default()).unwrap();
+                        let b = Broker::restore_from(snap).unwrap();
                         brokers.insert(snap.session, b);
                     } else {
-                        let sess = Session::restore_from(snap, None, ParConfig::default()).unwrap();
+                        let sess = Session::restore_from(snap).unwrap();
                         sessions.insert(snap.session, sess);
                     }
                 }
@@ -309,12 +319,10 @@ fn replay_reference(dir: &Path, wal_bytes: &[Vec<u8>]) -> Vec<RefShard> {
                     }
                     WalOp::Restore { snapshot } => {
                         if snapshot.broker.is_some() {
-                            let b = Broker::restore_from(&snapshot, None, ParConfig::default())
-                                .unwrap();
+                            let b = Broker::restore_from(&snapshot).unwrap();
                             brokers.insert(snapshot.session, b);
                         } else {
-                            let sess = Session::restore_from(&snapshot, None, ParConfig::default())
-                                .unwrap();
+                            let sess = Session::restore_from(&snapshot).unwrap();
                             sessions.insert(snapshot.session, sess);
                         }
                         counters.sessions_opened += 1;
@@ -330,13 +338,7 @@ fn replay_reference(dir: &Path, wal_bytes: &[Vec<u8>]) -> Vec<RefShard> {
                         } => {
                             brokers.insert(
                                 session,
-                                Broker::new(
-                                    resources,
-                                    processes,
-                                    metered,
-                                    None,
-                                    ParConfig::default(),
-                                ),
+                                Broker::new(resources, processes, metered, None, ParConfig),
                             );
                             counters.sessions_opened += 1;
                         }
@@ -398,7 +400,7 @@ fn graceful_restart_is_bit_identical() {
     for (name, checkpoint_every) in [("nockpt", u64::MAX), ("ckpt", 16)] {
         let dir = tmp(&format!("graceful-{name}"));
         {
-            let runtime = start(config(&dir, FsyncPolicy::EveryN(4), checkpoint_every));
+            let runtime = start(config(&dir, pipelined(4), checkpoint_every));
             assert!(runtime.recovery().iter().all(|r| r.live_sessions == 0));
             drive(&runtime, 0xFEED, 300);
             runtime.stop();
@@ -409,7 +411,7 @@ fn graceful_restart_is_bit_identical() {
         let mut reference = replay_reference(&dir, &wal_bytes);
         // A graceful shutdown loses nothing: the reference covers the
         // full workload and the restarted service must match it.
-        assert_recovery_matches(&dir, &mut reference, FsyncPolicy::EveryN(4));
+        assert_recovery_matches(&dir, &mut reference, pipelined(4));
         fs::remove_dir_all(&dir).unwrap();
     }
 }
@@ -669,7 +671,7 @@ fn recovery_reports_and_session_ids_never_collide() {
 fn checkpoint_compaction_truncates_the_wal() {
     let dir = tmp("compaction");
     {
-        let runtime = start(config(&dir, FsyncPolicy::EveryN(8), 8));
+        let runtime = start(config(&dir, pipelined(8), 8));
         drive(&runtime, 0x5EED, 200);
         let mut merged = Stats::new();
         for s in &runtime.shard_stats() {
@@ -693,7 +695,7 @@ fn checkpoint_compaction_truncates_the_wal() {
         .map(|s| fs::read(dir.join(format!("wal-{s}.log"))).unwrap_or_default())
         .collect();
     let mut reference = replay_reference(&dir, &wal_bytes);
-    assert_recovery_matches(&dir, &mut reference, FsyncPolicy::EveryN(8));
+    assert_recovery_matches(&dir, &mut reference, pipelined(8));
     fs::remove_dir_all(&dir).unwrap();
 }
 

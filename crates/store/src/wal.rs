@@ -36,8 +36,7 @@
 //! sequence number for which an `fdatasync` has returned (or that a
 //! loaded checkpoint covers). It advances *only* at those two points —
 //! never on [`append`](WalWriter::append), and never on a
-//! [`commit`](WalWriter::commit) that stages without flushing (the
-//! inside of an [`FsyncPolicy::EveryN`] group, every
+//! [`commit`](WalWriter::commit) that stages without flushing (every
 //! [`FsyncPolicy::Pipelined`] commit, and all of [`FsyncPolicy::Os`]).
 //! Anything that reports a durable LSN — the wire `Synced{durable_lsn}`
 //! barrier, `ReplicaStatus`, replication acks — must report this floor,
@@ -82,20 +81,12 @@ pub enum FsyncPolicy {
     /// acknowledged is ever lost, at the cost of one device flush per
     /// commit.
     Always,
-    /// Write + `fdatasync` once every `n` commits (group durability).
-    /// Staged records accumulate in the user-space buffer and hit the
-    /// kernel in one `write` at the group boundary, so both the syscall
-    /// and the flush are amortized. A crash can lose at most the last
-    /// `n − 1` acknowledged commits; torn-tail truncation keeps the log
-    /// consistent regardless.
-    EveryN(u32),
     /// Never `fsync`; leave flushing to the OS page cache. Survives
     /// process crashes (the data is in the kernel) but not power loss.
     Os,
-    /// Pipelined group commit: commits stage in the user-space buffer
-    /// (like [`FsyncPolicy::EveryN`] inside a group) and both the
-    /// `write` and the `fdatasync` are driven *externally* by a
-    /// per-core scheduler, which batches flushes across sessions and
+    /// Pipelined group commit: commits stage in the user-space buffer,
+    /// and both the `write` and the `fdatasync` are driven *externally*
+    /// by a per-core scheduler, which batches flushes across sessions and
     /// withholds client replies until [`WalWriter::durable_seq`] covers
     /// their record — the withheld reply, not the kernel hand-off, is
     /// the durability contract. The parameters bound the scheduler:
@@ -582,7 +573,6 @@ pub struct WalWriter {
     /// epoch is assigned; bumped by promotion.
     epoch: u64,
     policy: FsyncPolicy,
-    unsynced_commits: u32,
     /// Highest sequence number known to have reached the device (the
     /// durable-LSN frontier). Baselined to the recovered tail on open:
     /// everything the scan accepted is on disk by definition.
@@ -625,7 +615,6 @@ impl WalWriter {
             next_seq,
             epoch,
             policy,
-            unsynced_commits: 0,
             durable_seq: next_seq - 1,
             records: 0,
             commits: 0,
@@ -711,10 +700,10 @@ impl WalWriter {
 
     /// Commits staged records per the fsync policy. No-op when nothing
     /// is staged. One call = one logical commit (the `commits` counter
-    /// counts requests, not device flushes); under [`FsyncPolicy::
-    /// EveryN`] the staged bytes stay in the group buffer until the
-    /// group boundary, where one `write` + one `fdatasync` covers the
-    /// whole group.
+    /// counts requests, not device flushes); under
+    /// [`FsyncPolicy::Pipelined`] the staged bytes stay in the group
+    /// buffer until the scheduler's [`WalWriter::sync`], where one
+    /// `write` + one `fdatasync` covers the whole group.
     pub fn commit(&mut self) -> Result<(), StoreError> {
         if self.buf.is_empty() {
             return Ok(());
@@ -727,16 +716,6 @@ impl WalWriter {
                 self.fsyncs += 1;
                 self.durable_seq = self.next_seq - 1;
             }
-            FsyncPolicy::EveryN(n) => {
-                self.unsynced_commits += 1;
-                if self.unsynced_commits >= n.max(1) {
-                    self.write_out()?;
-                    self.file.sync_data()?;
-                    self.fsyncs += 1;
-                    self.durable_seq = self.next_seq - 1;
-                    self.unsynced_commits = 0;
-                }
-            }
             // Hands the bytes to the kernel immediately and stops
             // there for good.
             FsyncPolicy::Os => {
@@ -744,8 +723,8 @@ impl WalWriter {
             }
             // Stays in the group buffer: the external scheduler's
             // `sync` calls do one `write` + one `fdatasync` per flush
-            // (and advance the durable frontier), so the syscall count
-            // matches `EveryN`'s amortization.
+            // (and advance the durable frontier), so both syscalls are
+            // amortized over the group.
             FsyncPolicy::Pipelined { .. } => {}
         }
         Ok(())
@@ -761,7 +740,6 @@ impl WalWriter {
         self.write_out()?;
         self.file.sync_data()?;
         self.fsyncs += 1;
-        self.unsynced_commits = 0;
         self.durable_seq = self.next_seq - 1;
         Ok(())
     }
@@ -773,7 +751,6 @@ impl WalWriter {
         self.file.set_len(0)?;
         self.file.seek(SeekFrom::Start(0))?;
         self.file.sync_all()?;
-        self.unsynced_commits = 0;
         Ok(())
     }
 
@@ -977,29 +954,6 @@ mod tests {
             "records after the corrupt one are dropped too"
         );
         assert!(matches!(scan.tail, WalTail::Torn { .. }));
-        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
-    }
-
-    #[test]
-    fn every_n_batches_writes_and_fsyncs_at_the_group_boundary() {
-        let path = tmp("group");
-        let (mut w, _) = WalWriter::open(&path, FsyncPolicy::EveryN(4)).unwrap();
-        let op = WalOp::Close { session: 1 };
-        for i in 1..=3u64 {
-            w.append(&op);
-            w.commit().unwrap();
-            assert_eq!(w.commits(), i, "commits count requests");
-            assert_eq!(w.fsyncs(), 0, "flush deferred to the group boundary");
-            assert_eq!(w.durable_seq(), 0);
-        }
-        // The write syscall is deferred too: nothing reached the kernel.
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
-        w.append(&op);
-        w.commit().unwrap();
-        assert_eq!(w.commits(), 4);
-        assert_eq!(w.fsyncs(), 1, "one flush covers the whole group");
-        assert_eq!(w.durable_seq(), 4);
-        assert_eq!(w.unsynced_records(), 0);
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
